@@ -27,7 +27,7 @@ from math import ceil, log
 import numpy as np
 
 from .bounds import LRParameters, main_constant
-from .dynamics import EvolutionContext, commutator_norm_evolved
+from .dynamics import EvolutionContext
 from .geometry import ChainGeometry
 from .model import ImpuritySpec, NNInteraction, build_perturbed_hamiltonian
 from .operators import PAULI, DenseOperator
@@ -387,7 +387,8 @@ def _run_realization(cfg, epsilon, bounds_by_t, separation_ok, realization):
         ctx = EvolutionContext(build_perturbed_hamiltonian(phi, imp, geom), geom)
         a = DenseOperator.single_site(-cfg.L, PAULI["sz"])
         b = DenseOperator.single_site(cfg.L, PAULI["sz"])
-        exact_by_t = {t: commutator_norm_evolved(ctx, a, b, t) for t in cfg.t_grid}
+        exact_norm = ctx.commutator_norms(a, b)
+        exact_by_t = {t: exact_norm(t) for t in cfg.t_grid}
     rows = []
     for t in cfg.t_grid:
         exact = None if exact_by_t is None else exact_by_t[t]

@@ -35,7 +35,7 @@ from .bounds import (
     single_impurity_bound,
     uniform_impurity_bound,
 )
-from .dynamics import DecoupledDynamics, EvolutionContext, commutator_norm_evolved
+from .dynamics import DecoupledDynamics, EvolutionContext
 from .geometry import ChainGeometry, SiteSupport, SupportError
 from .model import (
     ImpuritySpec,
@@ -471,10 +471,11 @@ def run_verify(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> V
     sa, sb = cfg.observable_a.support, cfg.observable_b.support
     d = sa.distance(sb)
     window = impurity_window(sa, sb, cfg.imp)
+    exact_norm = ctx.commutator_norms(a, b)
 
     def one(t: float) -> ExperimentRecord:
         start = time.perf_counter()
-        exact = commutator_norm_evolved(ctx, a, b, t)
+        exact = exact_norm(t)
         outcomes = _evaluate_bounds(cfg, params, t, scale)
         wall = (time.perf_counter() - start) * 1e3
         return ExperimentRecord(t, d, len(window), exact, outcomes, wall)
@@ -605,10 +606,6 @@ def pick_decoupling_site(cfg: ExperimentConfig) -> int:
     )
 
 
-def _norm(m) -> float:
-    return operator_norm(m)
-
-
 def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesReport:
     """Replay the identity suite behind the impurity-improved bound.
 
@@ -635,14 +632,14 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
         checks.append(IdentityCheck.measured(name, residual, threshold, detail))
 
     def check_blocking():
-        res = max(dd.blocking_residual(a, b, ss) for ss in (0.5 * t, t))
+        res = dd.blocking_residual(a, b, (0.5 * t, t))
         return res, f"observables on opposite sides of site {site}, decoupled evolution"
 
     def check_split():
         left, right = decoupled_split(phi, imp, site, geom)
         total = build_decoupled_hamiltonian(phi, imp, site, geom)
-        r1 = _norm((left + right - total).matrix)
-        r2 = _norm(commutator(left, right).matrix)
+        r1 = operator_norm((left + right - total).matrix)
+        r2 = operator_norm(commutator(left, right).matrix)
         return max(r1, r2), "left + right reassembly and [left, right] = 0"
 
     def check_blocks():
@@ -650,7 +647,7 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
         acc = np.zeros_like(diff)
         for j, k in dd.block_pairs():
             acc += dd.block(j, k).matrix
-        return _norm(acc - diff), "off-diagonal blocks sum to the decoupling defect"
+        return operator_norm(acc - diff), "off-diagonal blocks sum to the decoupling defect"
 
     def check_phase():
         res = 0.0
@@ -658,7 +655,7 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
             for s in (0.3 * t, 0.7 * t, t):
                 lhs = dd.decoupled.evolve(dd.block(j, k), s)
                 rhs = dd.phase(j, k, s) * dd.reduced.evolve(dd.block(j, k), s)
-                res = max(res, _norm((lhs - rhs).matrix))
+                res = max(res, operator_norm((lhs - rhs).matrix))
         return res, "decoupled evolution = phase * reduced evolution on each block"
 
     def check_endpoint():
@@ -672,8 +669,8 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
         for j, k in dd.block_pairs():
             analytic = dd.interpolant_derivative(a, b, j, k, s, t)
             fd = dd.interpolant_derivative_fd(a, b, j, k, s, t, step=step)
-            denom = max(_norm(analytic.matrix), 1e-300)
-            worst = max(worst, _norm((analytic - fd).matrix) / denom)
+            denom = max(operator_norm(analytic.matrix), 1e-300)
+            worst = max(worst, operator_norm((analytic - fd).matrix) / denom)
         return worst, f"central difference, frequency-scaled step {fmt_float(step)}, s = 0.4 t"
 
     def check_derivative_richardson():
@@ -685,8 +682,8 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
             fd1 = dd.interpolant_derivative_fd(a, b, j, k, s, t, step=step)
             fd2 = dd.interpolant_derivative_fd(a, b, j, k, s, t, step=0.5 * step)
             extrap = (4.0 * fd2.matrix - fd1.matrix) / 3.0
-            denom = max(_norm(analytic.matrix), 1e-300)
-            worst = max(worst, _norm(analytic.matrix - extrap) / denom)
+            denom = max(operator_norm(analytic.matrix), 1e-300)
+            worst = max(worst, operator_norm(analytic.matrix - extrap) / denom)
         return worst, "step-halved extrapolation cancels the quadratic truncation term"
 
     def check_projection():
@@ -697,11 +694,11 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
         )
         eps = local_commutator_epsilon(evolved, keep, geom)
         projected = conditional_expectation(evolved, keep, geom)
-        lhs = _norm((evolved - projected).matrix)
-        excess = lhs - eps * _norm(evolved.matrix)
+        lhs = operator_norm((evolved - projected).matrix)
+        excess = lhs - eps * operator_norm(evolved.matrix)
         return max(excess, 0.0), (
             f"||(id - E)(evolved A)|| = {fmt_float(lhs)} vs eps * norm = "
-            f"{fmt_float(eps * _norm(evolved.matrix))} on keep = {keep}"
+            f"{fmt_float(eps * operator_norm(evolved.matrix))} on keep = {keep}"
         )
 
     guarded("decoupled_blocking", IDENTITY_TOL, check_blocking)

@@ -133,10 +133,21 @@ def embed_local(a: DenseOperator, target: SiteSupport, geom: ChainGeometry) -> D
 
 
 def operator_norm(a) -> float:
-    """Largest singular value."""
+    """Largest singular value.
+
+    A matrix that equals plus or minus its adjoint entry for entry is normal,
+    so its singular values are the moduli of its eigenvalues, which
+    `eigvalsh` finds faster than an SVD.  The test is exact: a matrix that is
+    Hermitian only up to rounding goes through the SVD.
+    """
     m = _as_matrix(a)
     if m.shape[0] == 0:
         return 0.0
+    adj = m.conj().T
+    if np.array_equal(m, adj):
+        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    if np.array_equal(m, -adj):
+        return float(np.max(np.abs(np.linalg.eigvalsh(1j * m))))
     return float(np.linalg.norm(m, 2))
 
 

@@ -6,7 +6,6 @@ from lrchain.dynamics import (
     DecoupledDynamics,
     EvolutionContext,
     commutator_norm_evolved,
-    heisenberg_evolve,
 )
 from lrchain.geometry import ChainGeometry, SiteSupport, SupportError
 from lrchain.model import ImpuritySpec, NNInteraction, build_perturbed_hamiltonian
@@ -18,7 +17,7 @@ from lrchain.operators import (
     embed_local,
     operator_norm,
 )
-from util import random_hermitian
+from util import random_complex, random_hermitian
 
 
 def onsite_hamiltonian(geom, site, matrix):
@@ -104,11 +103,36 @@ class TestEvolutionContext:
         ctx = EvolutionContext(build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom), geom)
         a = DenseOperator(SiteSupport(-2, -2), random_hermitian(rng, 2))
         b = DenseOperator(SiteSupport(2, 2), random_hermitian(rng, 2))
-        assert operator_norm(heisenberg_evolve(ctx, a, 0.8) - ctx.evolve(a, 0.8)) == 0.0
         ev = ctx.evolve(a, 0.8)
         bf = embed_local(b, geom.full_support, geom)
         want = operator_norm(commutator(ev, bf))
         assert abs(commutator_norm_evolved(ctx, a, b, 0.8) - want) <= 1e-13
+
+    def test_commutator_norms_match_reference_route(self, rng):
+        # eigenbasis-resident norms against evolving A and commuting with the
+        # embedded B in the computational basis; the Hermitian pair takes the
+        # eigvalsh route, the general pair the SVD.  The tolerance is the
+        # dense-ED floor 4 eps dim (||H|| |t| + 1) ||A|| ||B|| plus 1e-9 relative.
+        geom, phi = random_chain(rng)
+        h = build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom)
+        ctx = EvolutionContext(h, geom)
+        h_norm, dim, eps = operator_norm(h), geom.total_dim, np.finfo(float).eps
+        pairs = (
+            (DenseOperator(SiteSupport(-2, -1), random_hermitian(rng, 4)),
+             DenseOperator(SiteSupport(1, 1), random_hermitian(rng, 2))),
+            (DenseOperator(SiteSupport(-2, -2), random_complex(rng, 2)),
+             DenseOperator(SiteSupport(0, 1), random_complex(rng, 4))),
+        )
+        for a, b in pairs:
+            norm_at = ctx.commutator_norms(a, b)
+            b_full = embed_local(b, geom.full_support, geom)
+            scale = operator_norm(a) * operator_norm(b)
+            assert norm_at(0.0) == 0.0
+            for t in (-1.7, -0.3, 0.05, 0.8, 2.5):
+                want = operator_norm(commutator(ctx.evolve(a, t), b_full))
+                floor = 4 * eps * dim * (h_norm * abs(t) + 1.0) * scale
+                assert abs(norm_at(t) - want) <= floor + 1e-9 * want, (t, norm_at(t), want)
+            assert norm_at(2.5) > 1e-3
 
 
 def decoupling_instance(rng, coupling, half_length=3, bond_norm=1.0):
@@ -122,8 +146,7 @@ class TestDecoupledDynamics:
         geom, phi, imp, dyn = decoupling_instance(rng, 5.0)
         a = DenseOperator.single_site(-3, random_hermitian(rng, 2))
         b = DenseOperator.single_site(3, random_hermitian(rng, 2))
-        for t in (0.5, 2.0):
-            assert dyn.blocking_residual(a, b, t) <= 1e-9
+        assert dyn.blocking_residual(a, b, (0.5, 2.0)) <= 1e-9
 
     def test_full_dynamics_does_not_block(self, rng):
         geom, phi, imp, dyn = decoupling_instance(rng, 5.0)

@@ -137,8 +137,16 @@ class TestKronAndEmbed:
 class TestOperatorNorm:
     def test_against_eigvalsh_oracle(self, rng):
         for dim in (2, 5, 13):
-            m = random_complex(rng, dim)
-            assert abs(operator_norm(m) - norm_oracle(m)) <= 1e-10 * max(1.0, norm_oracle(m))
+            general = random_complex(rng, dim)
+            h = random_hermitian(rng, dim)
+            near = h.copy()
+            near[0, -1] = np.nextafter(near[0, -1].real, np.inf) + 1j * near[0, -1].imag
+            for m in (general, h, 1j * h, near):
+                assert abs(operator_norm(m) - norm_oracle(m)) <= 1e-10 * max(1.0, norm_oracle(m))
+            # exactly (anti-)Hermitian input takes eigvalsh; Hermitian only to rounding keeps the SVD
+            assert operator_norm(h) == float(np.max(np.abs(np.linalg.eigvalsh(h))))
+            assert operator_norm(1j * h) == float(np.max(np.abs(np.linalg.eigvalsh(-h))))
+            assert operator_norm(near) == float(np.linalg.norm(near, 2))
 
     def test_known_values(self):
         assert operator_norm(np.zeros((3, 3))) == 0.0
