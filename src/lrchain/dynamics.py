@@ -36,8 +36,43 @@ RECONSTRUCTION_TOL = 1e-10
 FD_PHASE_STEP = 1e-4
 
 
+def connected_components(pattern: np.ndarray) -> list:
+    """Index arrays of the connected components of the graph whose edges are the True entries of `pattern`.
+
+    `pattern` is a square boolean matrix; an entry (i, j) joins i and j
+    whichever triangle it sits in.  Components come in the order of their
+    smallest index, each sorted ascending.  Every state carries the smallest
+    index known to share its component: each round takes the minimum over
+    both ends of every edge and then jumps to the label's own label, so the
+    cost is a few passes over the nonzero entries.
+    """
+    rows, cols = np.nonzero(pattern)
+    labels = np.arange(pattern.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    _, starts = np.unique(labels[order], return_index=True)
+    return np.split(order, starts[1:])
+
+
 class EvolutionContext:
-    """One Hamiltonian, eigendecomposed once, evolving any observable exactly."""
+    """One Hamiltonian, eigendecomposed once, evolving any observable exactly.
+
+    H is split along its exact zero pattern: each connected component of
+    ``H != 0`` (listed in `spectral_blocks`) is an invariant subspace spanned
+    by basis states, and is eigendecomposed on its own.  A Hamiltonian that
+    conserves a diagonal charge, such as total S^z, splits into its charge
+    sectors; a dense one is a single block.  The results are scattered into
+    one eigenvalue vector and one dense unitary whose column k lies in the
+    block of basis state k, so the eigenvalues ascend within each block but
+    not across blocks.
+    """
 
     def __init__(self, hamiltonian: DenseOperator, geom: ChainGeometry):
         if hamiltonian.support != geom.full_support:
@@ -47,10 +82,23 @@ class EvolutionContext:
         hamiltonian.validate_dim(geom)
         self.geom = geom
         self.hamiltonian = hamiltonian
-        self.eigenvalues, self.eigenvectors = hermitian_spectral(hamiltonian.matrix)
-        rebuilt = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-        scale = max(float(np.linalg.norm(hamiltonian.matrix)), 1e-300)
-        residual = float(np.linalg.norm(rebuilt - hamiltonian.matrix)) / scale
+        h = hamiltonian.matrix
+        n = h.shape[0]
+        self.spectral_blocks = connected_components(h != 0)
+        self.eigenvalues = np.empty(n)
+        self.eigenvectors = np.zeros((n, n), dtype=complex)
+        # off-block entries are exactly zero in H and in the rebuilt matrix,
+        # so the Frobenius residual is a sum over blocks
+        squared_residual = 0.0
+        for idx in self.spectral_blocks:
+            block = np.ix_(idx, idx)
+            evals, evecs = hermitian_spectral(h[block])
+            self.eigenvalues[idx] = evals
+            self.eigenvectors[block] = evecs
+            rebuilt = (evecs * evals) @ evecs.conj().T
+            squared_residual += float(np.linalg.norm(rebuilt - h[block])) ** 2
+        scale = max(float(np.linalg.norm(h)), 1e-300)
+        residual = np.sqrt(squared_residual) / scale
         if residual > RECONSTRUCTION_TOL:
             raise ValueError(f"spectral reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
 
@@ -81,25 +129,35 @@ class EvolutionContext:
     def commutator_norms(self, a: DenseOperator, b: DenseOperator):
         """The function t -> || [ exp(itH) A exp(-itH), B ] || on the full chain.
 
-        The norm is unitarily invariant, so A and B are embedded and rotated
-        into the eigenbasis once (A', B'); each time point then costs the
-        phase pattern X = p A' p^dag with p = exp(itw), the product M = X B'
-        and one norm.  When both local matrices are exactly Hermitian,
-        [X, B'] = M - M^dag in exact arithmetic, and i (M - M^dag) is Hermitian
-        entry for entry, so `operator_norm` takes `eigvalsh`; otherwise the
-        commutator is M - B' X.  At t = 0 the commutator is formed in the
-        computational basis, where disjoint supports commute exactly.
+        Basis states are grouped into the connected components of
+        (H != 0) | (A != 0) | (B != 0) for the embedded A and B.  H, A and B
+        are block-diagonal over these groups, hence so is the commutator, and
+        its norm is the largest of the block norms.  The norm is unitarily
+        invariant, so each block of A and B is rotated into the eigenbasis
+        once (A', B'); each time point then costs, per block, the phase
+        pattern X = p A' p^dag with p = exp(itw), the product M = X B' and
+        one norm.  When both local matrices are exactly Hermitian,
+        [X, B'] = M - M^dag in exact arithmetic, and i (M - M^dag) is
+        Hermitian entry for entry, so `operator_norm` takes `eigvalsh`;
+        otherwise the commutator is M - B' X.  At t = 0 the commutator is
+        formed in the computational basis, where disjoint supports commute
+        exactly.
         """
         geom = self.geom
-        a_rot = self.to_eigenbasis(embed_local(a, geom.full_support, geom).matrix)
-        b_rot = self.to_eigenbasis(embed_local(b, geom.full_support, geom).matrix)
+        a_full = embed_local(a, geom.full_support, geom)
+        b_full = embed_local(b, geom.full_support, geom)
         hermitian = all(np.array_equal(m, m.conj().T) for m in (a.matrix, b.matrix))
-        eigenvalues = self.eigenvalues
+        pattern = (self.hamiltonian.matrix != 0) | (a_full.matrix != 0) | (b_full.matrix != 0)
+        rotated = []
+        for idx in connected_components(pattern):
+            block = np.ix_(idx, idx)
+            u = self.eigenvectors[block]
+            u_dag = u.conj().T
+            a_rot = u_dag @ a_full.matrix[block] @ u
+            b_rot = u_dag @ b_full.matrix[block] @ u
+            rotated.append((self.eigenvalues[idx], a_rot, b_rot))
 
-        def norm_at(t: float) -> float:
-            if t == 0.0:
-                a_full = embed_local(a, geom.full_support, geom)
-                return operator_norm(commutator(a_full, embed_local(b, geom.full_support, geom)))
+        def block_norm(eigenvalues: np.ndarray, a_rot: np.ndarray, b_rot: np.ndarray, t: float) -> float:
             phases = np.exp(1j * t * eigenvalues)
             x = a_rot * phases[:, None]
             x *= phases.conj()
@@ -112,6 +170,11 @@ class EvolutionContext:
                 m -= b_rot @ x
                 del x
             return operator_norm(m)
+
+        def norm_at(t: float) -> float:
+            if t == 0.0:
+                return operator_norm(commutator(a_full, b_full))
+            return max(block_norm(w, a_rot, b_rot, t) for w, a_rot, b_rot in rotated)
 
         return norm_at
 

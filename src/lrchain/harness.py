@@ -343,6 +343,7 @@ class VerifyReport:
     records: tuple
     improvement_points: tuple
     violations: tuple
+    spectral_blocks: tuple  # sizes of the blocks of H that were eigendecomposed
 
     @property
     def ok(self) -> bool:
@@ -382,6 +383,7 @@ class VerifyReport:
                 "main_constant": main_constant(p, int(self.config["chain"]["local_dim"])),
                 "derivative_bound_constant": derivative_bound_constant(p),
             },
+            "spectral_blocks": list(self.spectral_blocks),
             "records": [
                 {
                     "t": r.t,
@@ -494,6 +496,7 @@ def run_verify(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> V
         records=records,
         improvement_points=find_improvement_points(records),
         violations=violations,
+        spectral_blocks=tuple(len(idx) for idx in ctx.spectral_blocks),
     )
     if write and cfg.out is not None:
         write_report(report, cfg.out)

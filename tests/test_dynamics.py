@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from lrchain.disorder import heisenberg_bond
 from lrchain.dynamics import (
     FD_PHASE_STEP,
     DecoupledDynamics,
     EvolutionContext,
     commutator_norm_evolved,
+    connected_components,
 )
 from lrchain.geometry import ChainGeometry, SiteSupport, SupportError
 from lrchain.model import ImpuritySpec, NNInteraction, build_perturbed_hamiltonian
@@ -31,6 +33,19 @@ def random_chain(rng, half_length=2, norm=1.0, local_dim=2):
         for x in range(-half_length, half_length)
     }
     return geom, NNInteraction(geom, bonds=bonds)
+
+
+def heisenberg_field_chain(rng, half_length=2):
+    """Heisenberg bonds plus sz fields of random strength on every site.
+
+    The Hamiltonian conserves total S^z, so its exact nonzero pattern splits
+    into the n_sites + 1 sectors of that charge.
+    """
+    geom = ChainGeometry(half_length, 2)
+    phi = NNInteraction(geom, uniform_bond=heisenberg_bond(1.0))
+    sites = list(geom.full_support.sites())
+    fields = {x: rng.uniform(0.5, 3.0) for x in sites}
+    return geom, build_perturbed_hamiltonian(phi, ImpuritySpec.uniform(sites, PAULI["sz"], fields), geom)
 
 
 class TestEvolutionContext:
@@ -110,22 +125,38 @@ class TestEvolutionContext:
 
     def test_commutator_norms_match_reference_route(self, rng):
         # eigenbasis-resident norms against evolving A and commuting with the
-        # embedded B in the computational basis; the Hermitian pair takes the
-        # eigvalsh route, the general pair the SVD.  The tolerance is the
-        # dense-ED floor 4 eps dim (||H|| |t| + 1) ||A|| ||B|| plus 1e-9 relative.
+        # embedded B in the computational basis; Hermitian pairs take the
+        # eigvalsh route, the others the SVD.  Random bonds make H one block.
+        # On the Heisenberg chain with sz fields, diagonal pairs keep one
+        # block per S^z sector and the sx pair merges the sectors.  The
+        # tolerance is the dense-ED floor 4 eps dim (||H|| |t| + 1) ||A|| ||B||
+        # plus 1e-9 relative.
         geom, phi = random_chain(rng)
-        h = build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom)
-        ctx = EvolutionContext(h, geom)
-        h_norm, dim, eps = operator_norm(h), geom.total_dim, np.finfo(float).eps
-        pairs = (
-            (DenseOperator(SiteSupport(-2, -1), random_hermitian(rng, 4)),
-             DenseOperator(SiteSupport(1, 1), random_hermitian(rng, 2))),
-            (DenseOperator(SiteSupport(-2, -2), random_complex(rng, 2)),
-             DenseOperator(SiteSupport(0, 1), random_complex(rng, 4))),
+        random_h = build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom)
+        heis_geom, heis_h = heisenberg_field_chain(rng)
+        assert heis_geom == geom
+        sectors = geom.n_sites + 1
+        cases = (
+            (random_h, DenseOperator(SiteSupport(-2, -1), random_hermitian(rng, 4)),
+             DenseOperator(SiteSupport(1, 1), random_hermitian(rng, 2)), 1),
+            (random_h, DenseOperator(SiteSupport(-2, -2), random_complex(rng, 2)),
+             DenseOperator(SiteSupport(0, 1), random_complex(rng, 4)), 1),
+            (heis_h, DenseOperator.single_site(-2, PAULI["sz"]),
+             DenseOperator.single_site(2, PAULI["sz"]), sectors),
+            (heis_h, DenseOperator.single_site(-2, np.diag(random_complex(rng, 2)[0])),
+             DenseOperator(SiteSupport(1, 2), np.diag(random_complex(rng, 4)[0])), sectors),
+            (heis_h, DenseOperator.single_site(-2, PAULI["sx"]),
+             DenseOperator.single_site(2, PAULI["sx"]), 1),
         )
-        for a, b in pairs:
-            norm_at = ctx.commutator_norms(a, b)
+        dim, eps = geom.total_dim, np.finfo(float).eps
+        for h, a, b, n_blocks in cases:
+            ctx = EvolutionContext(h, geom)
+            h_norm = operator_norm(h)
             b_full = embed_local(b, geom.full_support, geom)
+            a_full = embed_local(a, geom.full_support, geom)
+            pattern = (h.matrix != 0) | (a_full.matrix != 0) | (b_full.matrix != 0)
+            assert len(connected_components(pattern)) == n_blocks
+            norm_at = ctx.commutator_norms(a, b)
             scale = operator_norm(a) * operator_norm(b)
             assert norm_at(0.0) == 0.0
             for t in (-1.7, -0.3, 0.05, 0.8, 2.5):
@@ -133,6 +164,54 @@ class TestEvolutionContext:
                 floor = 4 * eps * dim * (h_norm * abs(t) + 1.0) * scale
                 assert abs(norm_at(t) - want) <= floor + 1e-9 * want, (t, norm_at(t), want)
             assert norm_at(2.5) > 1e-3
+
+    def test_connected_components(self):
+        # an entry joins its row and column whichever triangle it sits in;
+        # components come in the order of their smallest index
+        pattern = np.zeros((6, 6), dtype=bool)
+        pattern[4, 1] = pattern[1, 1] = pattern[5, 2] = pattern[2, 4] = True
+        comps = connected_components(pattern)
+        assert [c.tolist() for c in comps] == [[0], [1, 2, 4, 5], [3]]
+        assert [c.tolist() for c in connected_components(np.ones((3, 3), dtype=bool))] == [[0, 1, 2]]
+
+    def test_spectral_blocks_follow_zero_pattern(self, rng):
+        geom, phi = random_chain(rng)
+        dense = EvolutionContext(build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom), geom)
+        assert [len(idx) for idx in dense.spectral_blocks] == [geom.total_dim]
+        geom, h = heisenberg_field_chain(rng)
+        ctx = EvolutionContext(h, geom)
+        assert [len(idx) for idx in ctx.spectral_blocks] == [1, 5, 10, 10, 5, 1]
+        # eigenvector k lives in the block of basis state k
+        for idx in ctx.spectral_blocks:
+            outside = np.setdiff1d(np.arange(geom.total_dim), idx)
+            assert not np.any(ctx.eigenvectors[np.ix_(outside, idx)])
+
+    def test_blocked_evolution_matches_expm(self, rng):
+        from scipy.linalg import expm
+
+        geom, h = heisenberg_field_chain(rng)
+        ctx = EvolutionContext(h, geom)
+        assert len(ctx.spectral_blocks) == geom.n_sites + 1
+        a = DenseOperator(SiteSupport(-1, 0), random_complex(rng, 4))
+        a_full = embed_local(a, geom.full_support, geom).matrix
+        for t in (-1.3, 0.4, 2.0):
+            u = expm(1j * t * h.matrix)
+            want = u @ a_full @ u.conj().T
+            assert operator_norm(ctx.evolve(a, t).matrix - want) <= 1e-11
+
+    def test_rejects_non_hermitian_entry_in_block(self, rng):
+        geom, h = heisenberg_field_chain(rng)
+        blocks = EvolutionContext(h, geom).spectral_blocks
+        i, j = blocks[2][:2]
+        inside = h.matrix.copy()
+        inside[i, j] += 1e-6
+        with pytest.raises(HermiticityError):
+            EvolutionContext(DenseOperator(geom.full_support, inside), geom)
+        # a one-sided entry between two sectors joins them and is checked too
+        bridge = h.matrix.copy()
+        bridge[blocks[1][0], blocks[2][0]] = 1e-6
+        with pytest.raises(HermiticityError):
+            EvolutionContext(DenseOperator(geom.full_support, bridge), geom)
 
 
 def decoupling_instance(rng, coupling, half_length=3, bond_norm=1.0):

@@ -241,6 +241,16 @@ class TestRunVerify:
         assert rec.bound("apriori").value == 0.0
         assert report.ok
 
+    def test_spectral_blocks_reported(self, rng):
+        # random bonds give one block; without bonds the sz impurity leaves H
+        # diagonal, one block per basis state, and every norm is exactly 0
+        cfg = make_config(rng, t_grid=(0.5,))
+        dim = cfg.geom.total_dim
+        assert run_verify(cfg, write=False).spectral_blocks == (dim,)
+        diagonal = run_verify(make_config(rng, t_grid=(0.5,), zero_bonds=True), write=False)
+        assert diagonal.spectral_blocks == (1,) * dim
+        assert diagonal.records[0].exact_norm == 0.0
+
     def test_no_violations_on_honest_instance(self, rng):
         # L = 4 puts the observables 8 sites apart, satisfying the improved
         # bound's separation hypothesis (>= 7)
@@ -297,6 +307,7 @@ class TestRunVerify:
         assert "main_constant" in doc["derived_parameters"]
         assert len(doc["records"]) == 1
         assert doc["records"][0]["bounds"]["apriori"]["applicable"] is True
+        assert sum(doc["spectral_blocks"]) == cfg.geom.total_dim
 
     def test_json_doc_reasons_surface(self, rng):
         # too-close observables make the improved bound inapplicable, with the reason recorded
@@ -350,6 +361,7 @@ class TestImprovementPoints:
             records=(bad_record,),
             improvement_points=(),
             violations=tuple(msgs),
+            spectral_blocks=clean.spectral_blocks,
         )
         assert not report.ok
         dump = report.diagnostic_dump()
