@@ -55,6 +55,7 @@ from .operators import (
     commutator,
     conditional_expectation,
     embed_local,
+    epsilon_unitaries,
     local_commutator_epsilon,
     operator_norm,
 )
@@ -701,7 +702,8 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
         excess = lhs - eps * operator_norm(evolved.matrix)
         return max(excess, 0.0), (
             f"||(id - E)(evolved A)|| = {fmt_float(lhs)} vs eps * norm = "
-            f"{fmt_float(eps * operator_norm(evolved.matrix))} on keep = {keep}"
+            f"{fmt_float(eps * operator_norm(evolved.matrix))} on keep = {keep}; "
+            f"{len(epsilon_unitaries(keep, geom))} unitaries"
         )
 
     guarded("decoupled_blocking", IDENTITY_TOL, check_blocking)

@@ -219,19 +219,84 @@ def conditional_expectation(a: DenseOperator, keep: SiteSupport, geom: ChainGeom
     return embed_local(DenseOperator(keep, reduced), geom.full_support, geom)
 
 
-def weyl_basis(dim: int) -> list[np.ndarray]:
-    """The dim^2 unitary shift-and-clock matrices X^p Z^q spanning M_dim."""
-    shift = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        shift[(i + 1) % dim, i] = 1.0
-    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-    out = []
-    xp = identity_matrix(dim)
-    for _ in range(dim):
+def _weyl_monomials(dim: int):
+    """Yield (p, q, perm, phases) for each shift-and-clock matrix X^p Z^q.
+
+    X^p Z^q is monomial: row r holds its one nonzero entry, phases[r], in
+    column perm[r].  The order is p outer, q inner.
+    """
+    rows = np.arange(dim)
+    for p in range(dim):
+        perm = (rows - p) % dim
         for q in range(dim):
-            out.append(xp @ np.linalg.matrix_power(clock, q))
-        xp = shift @ xp
+            yield p, q, perm, np.exp(2j * np.pi * ((q * perm) % dim) / dim)
+
+
+def weyl_basis(dim: int) -> list[np.ndarray]:
+    """The dim^2 unitary shift-and-clock matrices X^p Z^q spanning M_dim, p outer and q inner."""
+    rows = np.arange(dim)
+    out = []
+    for _, _, perm, phases in _weyl_monomials(dim):
+        w = np.zeros((dim, dim), dtype=complex)
+        w[rows, perm] = phases
+        out.append(w)
     return out
+
+
+def epsilon_unitaries(keep: SiteSupport, geom: ChainGeometry) -> list:
+    """The unitaries U = W_l (x) I_keep (x) W_r that `local_commutator_epsilon` evaluates.
+
+    W_l and W_r are shift-and-clock matrices on the complement of `keep`
+    left and right of it.  Each entry is ((p_l, q_l, p_r, q_r), perm,
+    phases): row r of U holds phases[r] in column perm[r].  The identity is
+    left out, and of each pair (p_l, q_l, p_r, q_r) and its negation modulo
+    the factor dimensions only the first in tuple order is listed.
+    """
+    geom.check_support(keep)
+    d = geom.local_dim
+    dl = d ** (keep.lo - geom.full_support.lo)
+    dk = d ** keep.n_sites
+    dr = d ** (geom.full_support.hi - keep.hi)
+    right = list(_weyl_monomials(dr))
+    out = []
+    for pl, ql, perm_l, ph_l in _weyl_monomials(dl):
+        # W_l (x) I_keep, with the row index of the right factor still to append
+        perm_lk = (np.add.outer(perm_l * dk, np.arange(dk)) * dr).ravel()
+        ph_lk = np.repeat(ph_l, dk)
+        for pr, qr, perm_r, ph_r in right:
+            label = (pl, ql, pr, qr)
+            negated = (-pl % dl, -ql % dl, -pr % dr, -qr % dr)
+            if label == (0, 0, 0, 0) or negated < label:
+                continue
+            out.append((label, np.add.outer(perm_lk, perm_r).ravel(), np.multiply.outer(ph_lk, ph_r).ravel()))
+    return out
+
+
+# bytes of one stack of commutators: about 8 at dimension 128, so the
+# stacks add little to the peak resident memory
+_GRAM_CHUNK_BYTES = 1 << 21
+
+
+def _monomial_commutator_norms(m: np.ndarray, unitaries: list) -> np.ndarray:
+    """||[m, U]|| = ||m - U m U^dag|| for each entry of `epsilon_unitaries`.
+
+    U m U^dag is a gather of m on rows and columns times the outer product
+    of the phases.  Each norm is sqrt(lambda_max(c^dag c)), taken over
+    stacks of commutators with one batched matmul and one batched `eigvalsh`.
+    """
+    n = m.shape[0]
+    chunk = max(1, _GRAM_CHUNK_BYTES // (16 * n * n))  # 16 bytes per complex128 entry
+    norms = np.empty(len(unitaries))
+    c = np.empty((chunk, n, n), dtype=complex)
+    for start in range(0, len(unitaries), chunk):
+        batch = unitaries[start : start + chunk]
+        for i, (_, perm, phases) in enumerate(batch):
+            np.multiply(np.outer(phases, phases.conj()), m[perm][:, perm], out=c[i])
+            np.subtract(m, c[i], out=c[i])
+        stack = c[: len(batch)]
+        gram = stack.conj().transpose(0, 2, 1) @ stack
+        norms[start : start + len(batch)] = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    return norms
 
 
 def local_commutator_epsilon(a: DenseOperator, keep: SiteSupport, geom: ChainGeometry) -> float:
@@ -244,6 +309,11 @@ def local_commutator_epsilon(a: DenseOperator, keep: SiteSupport, geom: ChainGeo
     implements `conditional_expectation`, so the returned value always
     dominates ||(id - E_keep)(a)|| / ||a||.  Returns 0 for a = 0 or an empty
     complement.
+
+    Only the members listed by `epsilon_unitaries` are evaluated, and the
+    maximum is unchanged.  The identity commutes with `a`.  The negation
+    U' of U, with (p, q) -> (-p, -q) on both factors, is a phase times
+    U^dag, so ||[a, U']|| = ||a - U^dag a U|| = ||U a U^dag - a|| = ||[a, U]||.
     """
     if a.support != geom.full_support:
         raise SupportError(f"local_commutator_epsilon expects a full-chain operator, got {a.support}")
@@ -252,26 +322,11 @@ def local_commutator_epsilon(a: DenseOperator, keep: SiteSupport, geom: ChainGeo
     norm_a = operator_norm(a)
     if norm_a == 0.0:
         return 0.0
-    d = geom.local_dim
-    dl = d ** (keep.lo - geom.full_support.lo)
-    dk = d ** keep.n_sites
-    dr = d ** (geom.full_support.hi - keep.hi)
-    if dl == 1 and dr == 1:
+    unitaries = epsilon_unitaries(keep, geom)
+    if not unitaries:
         return 0.0
-    ik = identity_matrix(dk)
-    m = a.matrix
-    worst = 0.0
-    for wl in weyl_basis(dl):
-        base = np.kron(wl, ik)
-        for wr in weyl_basis(dr):
-            b = base if dr == 1 else np.kron(base, wr)
-            c = m @ b - b @ m
-            # ||B|| = 1: a tensor product of unitaries is unitary
-            g = c.conj().T @ c
-            val = float(np.sqrt(max(np.max(np.linalg.eigvalsh(g)), 0.0)))
-            if val > worst:
-                worst = val
-    return worst / norm_a
+    # ||B|| = 1: a tensor product of unitaries is unitary
+    return float(np.max(_monomial_commutator_norms(a.matrix, unitaries))) / norm_a
 
 
 LOCALIZATION_TOL = 1e-10

@@ -390,6 +390,10 @@ class TestRunIdentities:
         for c in report.checks:
             assert c.status == "pass"
             assert c.residual <= c.threshold
+        # keep = [-3, -2] leaves a 32-dim complement on the right: of its
+        # 32^2 Weyl matrices, 4 are their own negation (p, q in {0, 16}),
+        # so (1024 - 4) / 2 + 4 - 1 (the identity) = 513 are evaluated
+        assert report.checks[-1].detail.endswith("on keep = [-3, -2]; 513 unitaries")
 
     def test_zero_interaction_residuals_vanish(self, rng):
         cfg = make_config(rng, zero_bonds=True, t_grid=(0.5,))

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from lrchain import operators
 from lrchain.geometry import ChainGeometry, SiteSupport, SupportError
 from lrchain.operators import (
     PAULI,
     DenseOperator,
     HermiticityError,
+    _monomial_commutator_norms,
+    _weyl_monomials,
     assert_localized,
     commutator,
     commutator_norm,
     conditional_expectation,
     embed_local,
+    epsilon_unitaries,
     hermitian_spectral,
     kron_product,
     local_commutator_epsilon,
@@ -24,6 +28,8 @@ from util import (
     norm_oracle,
     random_complex,
     random_hermitian,
+    weyl_commutator_norms_oracle,
+    weyl_oracle,
 )
 
 
@@ -328,6 +334,40 @@ class TestWeylBasis:
         assert np.allclose(avg, np.trace(a) / dim * np.eye(dim))
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 32])
+    def test_dense_matches_monomial_form(self, dim):
+        basis = weyl_basis(dim)
+        oracle = weyl_oracle(dim)
+        rows = np.arange(dim)
+        labels = []
+        for k, (p, q, perm, phases) in enumerate(_weyl_monomials(dim)):
+            labels.append((p, q))
+            w = basis[k]
+            assert np.count_nonzero(w) == dim
+            assert np.array_equal(w[rows, perm], phases)
+            assert np.max(np.abs(w - oracle[k])) <= 1e-12
+        assert labels == [(p, q) for p in range(dim) for q in range(dim)]
+
+
+# (geometry, keep): complement on the right only, on the left only, on both
+# sides, and a qutrit chain with the complement on both sides
+EPSILON_CASES = [
+    (ChainGeometry(2, 2), SiteSupport(-2, 0)),
+    (ChainGeometry(2, 2), SiteSupport(0, 2)),
+    (ChainGeometry(3, 2), SiteSupport(-1, 1)),
+    (ChainGeometry(1, 3), SiteSupport(0, 0)),
+]
+
+
+def factor_dims(geom, keep):
+    d = geom.local_dim
+    return (
+        d ** (keep.lo - geom.full_support.lo),
+        d ** keep.n_sites,
+        d ** (geom.full_support.hi - keep.hi),
+    )
+
+
 class TestLocalCommutatorEpsilon:
     def test_zero_for_operators_inside_keep(self, rng):
         geom = ChainGeometry(2, 2)
@@ -364,6 +404,54 @@ class TestLocalCommutatorEpsilon:
             lhs = operator_norm(a - conditional_expectation(a, keep, geom))
             assert lhs <= eps * operator_norm(a) + 1e-9
             assert eps >= lhs / operator_norm(a) - 1e-10
+
+    @pytest.mark.parametrize("geom,keep", EPSILON_CASES)
+    def test_matches_reference_loop(self, rng, geom, keep):
+        dims = factor_dims(geom, keep)
+        n = geom.total_dim
+        for m in (random_complex(rng, n), random_hermitian(rng, n)):
+            ref = max(weyl_commutator_norms_oracle(m, *dims).values()) / np.linalg.norm(m, 2)
+            eps = local_commutator_epsilon(DenseOperator(geom.full_support, m), keep, geom)
+            assert abs(eps - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("geom,keep", EPSILON_CASES)
+    def test_evaluated_unitaries_cover_the_spanning_set(self, rng, monkeypatch, geom, keep):
+        # every non-identity Weyl product is evaluated or is the negation of
+        # one that is, no pair is evaluated twice, and each evaluated norm
+        # equals the reference one
+        dl, dk, dr = dims = factor_dims(geom, keep)
+        n = geom.total_dim
+        m = random_complex(rng, n)
+        ref = weyl_commutator_norms_oracle(m, *dims)
+        unitaries = epsilon_unitaries(keep, geom)
+        labels = [label for label, _, _ in unitaries]
+        assert len(set(labels)) == len(labels)
+        negated = {(pl, ql, pr, qr): (-pl % dl, -ql % dl, -pr % dr, -qr % dr) for pl, ql, pr, qr in labels}
+        assert all(neg == label or neg not in negated for label, neg in negated.items())
+        assert set(labels) | set(negated.values()) == set(ref) - {(0, 0, 0, 0)}
+        expected = np.array([ref[label] for label in labels])
+        # the default stack size, then stacks of 1, 2, 4 and 8 commutators,
+        # so that most runs end on a partial stack
+        for per_stack in (None, 1, 2, 4, 8):
+            if per_stack is not None:
+                monkeypatch.setattr(operators, "_GRAM_CHUNK_BYTES", per_stack * 16 * n * n)
+            norms = _monomial_commutator_norms(m, unitaries)
+            assert np.max(np.abs(norms - expected) / expected) <= 1e-12, per_stack
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_negated_pair_has_equal_norm(self, rng, dim):
+        # U' = X^-p Z^-q is a phase times U^dag, so ||m - U m U^dag|| is the
+        # same for both; the pair (p, q), (p, -q) has no such relation
+        basis = weyl_oracle(dim)
+        m = random_complex(rng, dim)
+
+        def norm_for(p, q):
+            u = basis[(p % dim) * dim + q % dim]
+            return norm_oracle(m - u @ m @ u.conj().T)
+
+        for p, q in ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)):
+            assert abs(norm_for(p, q) - norm_for(-p, -q)) <= 1e-13 * norm_for(p, q)
+        assert any(abs(norm_for(p, q) - norm_for(p, -q)) > 1e-6 for p, q in ((1, 1), (1, 2), (2, 1)))
 
 
 class TestAssertLocalized:

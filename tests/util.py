@@ -87,6 +87,39 @@ def conditional_expectation_oracle(m: np.ndarray, n_sites: int, d: int, keep: se
     return embed_oracle(block, n_left, n_right, d)
 
 
+def weyl_oracle(dim: int) -> list:
+    """Shift-and-clock matrices X^p Z^q by matrix powers, p outer and q inner."""
+    shift = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        shift[(i + 1) % dim, i] = 1.0
+    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    out = []
+    xp = np.eye(dim, dtype=complex)
+    for _ in range(dim):
+        for q in range(dim):
+            out.append(xp @ np.linalg.matrix_power(clock, q))
+        xp = shift @ xp
+    return out
+
+
+def weyl_commutator_norms_oracle(m: np.ndarray, dl: int, dk: int, dr: int) -> dict:
+    """||[m, W_l (x) I_dk (x) W_r]|| for every pair of Weyl matrices.
+
+    Dense unitaries by np.kron, the commutator by two matmuls, the norm as
+    sqrt(lambda_max(c^dag c)).  Keys are (p_l, q_l, p_r, q_r).  The largest
+    value over ||m|| is the locality epsilon.
+    """
+    ik = np.eye(dk, dtype=complex)
+    out = {}
+    for kl, wl in enumerate(weyl_oracle(dl)):
+        base = np.kron(wl, ik)
+        for kr, wr in enumerate(weyl_oracle(dr)):
+            b = np.kron(base, wr)
+            c = m @ b - b @ m
+            out[divmod(kl, dl) + divmod(kr, dr)] = norm_oracle(c)
+    return out
+
+
 def c_mu_bruteforce(mu: float, radius: int) -> float:
     total = 0.0
     for x in range(-radius, radius + 1):
