@@ -10,7 +10,7 @@ exact commutator norm.
 
 Seeding is two-level and reproducible: realization k draws from a Philox
 stream keyed by splitmix64(seed, k), so the CSV is byte-identical across
-reruns and thread counts.
+reruns.
 
 The probability lower bound for the event itself is asymptotic in the chain
 length and is NOT reproduced here; the report says so and substitutes the
@@ -22,14 +22,14 @@ Run:  python3 demos/disorder_sweep.py
 from lrchain import DisorderConfig, monte_carlo_sweep
 
 
-def show(title: str, cfg: DisorderConfig, threads: int = 1) -> None:
+def show(title: str, cfg: DisorderConfig) -> None:
     print(f"--- {title} ---")
     print(
         f"L = {cfg.L}, mu = {cfg.mu}, J = {cfg.J}, tail exponent a = {cfg.a}, "
         f"event exponent b = {cfg.b}, spacing {cfg.spacing}, "
         f"{cfg.n_realizations} realizations, seed {cfg.seed}"
     )
-    report = monte_carlo_sweep(cfg, threads=threads)
+    report = monte_carlo_sweep(cfg)
     for line in report.summary_lines():
         print(line)
     lines = report.to_csv().splitlines()
@@ -63,7 +63,6 @@ def main() -> None:
             L_exact=4,
             epsilon=1e-3,
         ),
-        threads=2,
     )
 
 

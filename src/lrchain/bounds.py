@@ -31,6 +31,8 @@ from .model import ImpuritySpec, impurity_window, min_spacing
 
 TAIL_REL_TOL = 1e-12
 MAX_SERIES_RADIUS = 1 << 14
+# an exact norm violates a bound only if it exceeds the bound by more than this
+VIOLATION_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -122,6 +124,18 @@ class LRParameters:
             raise ValueError(f"derived prefactor C0 = {c0} < 1 violates the bound's standing assumption")
         v = 8.0 * float(np.exp(mu)) * k_val * phi_norm
         return cls(mu, float(phi_norm), c_val, k_val, c0, v, r, tail)
+
+    def echo(self) -> dict:
+        """The derived constants as the reports' `derived_parameters` block lists them."""
+        return {
+            "mu": self.mu,
+            "phi_norm": self.phi_norm,
+            "c_mu": self.c_mu,
+            "K_mu": self.K_mu,
+            "C0": self.C0,
+            "v": self.v,
+            "series_radius": self.series_radius,
+        }
 
 
 def apriori_bound(params: LRParameters, t: float, distance: float, scale: float = 1.0) -> float:
@@ -394,48 +408,3 @@ def double_commutator_bound(
             )
     raise ValueError(f"unknown variant {variant!r}; use 'general' or 'apriori'")
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One comparison point: exact commutator norm against the evaluated bounds."""
-
-    t: float
-    distance: int
-    window_size: int
-    prefactor_product: float
-    apriori: float
-    main: BoundOutcome
-    exact: float | None = None
-
-    def violations(self, tol: float = 1e-9) -> list[str]:
-        if self.exact is None:
-            return []
-        out = []
-        if self.exact > self.apriori + tol:
-            out.append(f"exact {self.exact} exceeds a-priori bound {self.apriori}")
-        if self.main.applicable and self.exact > self.main.value + tol:
-            out.append(f"exact {self.exact} exceeds impurity bound {self.main.value}")
-        return out
-
-
-def bound_report(
-    params: LRParameters,
-    local_dim: int,
-    support_a: SiteSupport,
-    support_b: SiteSupport,
-    imp: ImpuritySpec,
-    t: float,
-    exact: float | None = None,
-    scale: float = 1.0,
-) -> BoundReport:
-    window = impurity_window(support_a, support_b, imp)
-    product = imp.coupling_gap_product(window) if window else 1.0
-    return BoundReport(
-        t=t,
-        distance=support_a.distance(support_b),
-        window_size=len(window),
-        prefactor_product=product,
-        apriori=apriori_bound(params, t, support_a.distance(support_b), scale),
-        main=main_bound(params, local_dim, support_a, support_b, imp, t, scale),
-        exact=exact,
-    )

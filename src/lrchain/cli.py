@@ -16,7 +16,7 @@ with config echo and timings); without it the CSV goes to stdout.
 from __future__ import annotations
 
 import argparse
-import os
+import dataclasses
 import sys
 import time
 
@@ -28,9 +28,10 @@ from .harness import (
     constants_rows,
     run_identities,
     run_verify,
+    write_report,
 )
 from .model import ModelFormatError
-from .serialize import render_csv, render_json
+from .serialize import read_json_object, render_csv, render_json
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -42,7 +43,9 @@ def _parent_flags() -> argparse.ArgumentParser:
     parent.add_argument("--config", metavar="PATH", help="JSON configuration file")
     parent.add_argument("--out", metavar="PREFIX", help="write PREFIX.csv and PREFIX.json instead of stdout")
     parent.add_argument("--seed", metavar="U64", type=int, help="override the configured seed")
-    parent.add_argument("--threads", metavar="N", type=int, default=1, help="worker threads (default 1)")
+    parent.add_argument(
+        "--threads", metavar="N", type=int, default=1, help="accepted for compatibility and ignored; runs are serial"
+    )
     return parent
 
 
@@ -84,23 +87,8 @@ def _check_threads(threads: int) -> int:
     return threads
 
 
-def _load_json_config(path: str) -> dict:
-    import json
-
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top-level value must be an object")
-    return doc
-
-
 def _cmd_constants(args) -> int:
-    doc = _load_json_config(args.config) if args.config else {}
+    doc = read_json_object(args.config, ConfigError) if args.config else {}
     unknown = set(doc) - {"mu", "phi_norm", "D", "radius"}
     if unknown:
         raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
@@ -135,23 +123,11 @@ def _cmd_constants(args) -> int:
             "header": list(CONSTANTS_CSV_HEADER),
             "rows": [list(r) for r in rows],
         }
-        paths = _write_pair(args.out, csv_text, render_json(json_doc))
+        paths = write_report(args.out, csv_text, render_json(json_doc))
         print(f"wrote {paths[0]} and {paths[1]}")
     else:
         sys.stdout.write(csv_text)
     return EXIT_OK
-
-
-def _write_pair(prefix: str, csv_text: str, json_text: str) -> tuple:
-    parent = os.path.dirname(prefix)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    csv_path, json_path = prefix + ".csv", prefix + ".json"
-    with open(csv_path, "w") as fh:
-        fh.write(csv_text)
-    with open(json_path, "w") as fh:
-        fh.write(json_text)
-    return csv_path, json_path
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -160,19 +136,7 @@ def _experiment_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config)
     seed = _check_seed(args.seed)
     if args.out or seed is not None:
-        cfg = ExperimentConfig(
-            cfg.geom,
-            cfg.phi,
-            cfg.imp,
-            cfg.mu,
-            cfg.observable_a,
-            cfg.observable_b,
-            cfg.t_grid,
-            bound_set=cfg.bound_set,
-            model_path=cfg.model_path,
-            out=args.out or cfg.out,
-            seed=seed if seed is not None else cfg.seed,
-        )
+        cfg = dataclasses.replace(cfg, out=args.out or cfg.out, seed=seed if seed is not None else cfg.seed)
     return cfg
 
 
@@ -217,23 +181,12 @@ def _cmd_disorder(args) -> int:
         raise ConfigError(str(exc)) from exc
     seed = _check_seed(args.seed)
     if seed is not None:
-        cfg = DisorderConfig(
-            mu=cfg.mu,
-            J=cfg.J,
-            a=cfg.a,
-            b=cfg.b,
-            L=cfg.L,
-            n_realizations=cfg.n_realizations,
-            seed=seed,
-            t_grid=cfg.t_grid,
-            L_exact=cfg.L_exact,
-            epsilon=cfg.epsilon,
-        )
+        cfg = dataclasses.replace(cfg, seed=seed)
     start = time.perf_counter()
     report = monte_carlo_sweep(cfg, threads=_check_threads(args.threads))
     wall_ms = (time.perf_counter() - start) * 1e3
     if args.out:
-        paths = _write_pair(args.out, report.to_csv(), report.to_json(wall_ms))
+        paths = write_report(args.out, report.to_csv(), report.to_json(wall_ms))
         print(f"wrote {paths[0]} and {paths[1]}")
         for line in report.summary_lines():
             print(line)

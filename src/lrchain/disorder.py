@@ -13,27 +13,23 @@ against the exact edge-to-edge commutator norm.
 
 Reproducibility contract: realization r derives its own child seed from the
 sweep seed by a SplitMix64 mix, and draws through a counter-based generator
-keyed on that child, so reports are byte-identical across reruns and across
-thread counts.
+keyed on that child, so reports are byte-identical across reruns.
 """
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, log
 
 import numpy as np
 
-from .bounds import LRParameters, main_constant
+from .bounds import VIOLATION_TOL, LRParameters, main_constant
 from .dynamics import EvolutionContext
 from .geometry import ChainGeometry
 from .model import ImpuritySpec, NNInteraction, build_perturbed_hamiltonian
 from .operators import PAULI, DenseOperator
-from .serialize import fmt_float, render_csv, render_json
+from .serialize import fmt_float, read_json_object, render_csv, render_json
 
-VIOLATION_TOL = 1e-9
 _MASK64 = (1 << 64) - 1
 
 
@@ -129,15 +125,7 @@ class DisorderConfig:
     @classmethod
     def from_json(cls, path) -> DisorderConfig:
         path = str(path)
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: top-level value must be an object")
+        doc = read_json_object(path)
         known = {"mu", "J", "a", "b", "L", "n_realizations", "seed", "t_grid", "L_exact", "epsilon"}
         unknown = set(doc) - known
         if unknown:
@@ -212,32 +200,6 @@ def large_deviation_indicator(couplings, cfg: DisorderConfig, epsilon: float) ->
     threshold = epsilon * (2 * cfg.L + 1)
     count = sum(1 for x in sites if float(couplings[x]) >= threshold)
     return count >= (2 * cfg.L + 1) ** (1.0 - cfg.b)
-
-
-def disorder_bound(cfg_or_params, t: float, half_length: int | None = None, scale: float = 1.0) -> float:
-    """Event-conditional commutator bound for unit-norm edge observables.
-
-    Accepts either a DisorderConfig (using its L) or precomputed
-    LRParameters plus an explicit half_length.  half_length = 0 degenerates
-    to e^{v|t|}.
-    """
-    if isinstance(cfg_or_params, DisorderConfig):
-        cfg = cfg_or_params
-        params = lr_parameters(cfg)
-        L = cfg.L if half_length is None else half_length
-        b = cfg.b
-    else:
-        raise TypeError("pass a DisorderConfig")
-    if L < 0:
-        raise ValueError(f"half_length must be nonnegative, got {L}")
-    n_sites = 2 * L + 1
-    with np.errstate(over="ignore"):
-        return float(
-            scale
-            * np.exp(params.v * abs(t))
-            * np.exp(-2.0 * params.mu * L)
-            * np.exp(-(n_sites ** (1.0 - b)) * log(n_sites))
-        )
 
 
 def _bound_curve(cfg: DisorderConfig, params: LRParameters):
@@ -324,18 +286,9 @@ class SweepReport:
 
     def to_json_doc(self, wall_time_ms: float | None = None) -> dict:
         lo, hi = self.wilson_95()
-        p = self.parameters
         doc = {
             "config": self.config,
-            "derived_parameters": {
-                "mu": p.mu,
-                "phi_norm": p.phi_norm,
-                "c_mu": p.c_mu,
-                "K_mu": p.K_mu,
-                "C0": p.C0,
-                "v": p.v,
-                "series_radius": p.series_radius,
-            },
+            "derived_parameters": self.parameters.echo(),
             "epsilon": self.epsilon,
             "epsilon_source": self.epsilon_source,
             "event_threshold": self.epsilon * (2 * int(self.config["L"]) + 1),
@@ -406,7 +359,8 @@ def monte_carlo_sweep(cfg: DisorderConfig, threads: int = 1) -> SweepReport:
     conditional bound is actually checkable: the event occurred, the chain
     is small enough for exact dynamics (L <= L_exact), and the supports are
     separated by at least 7 sites (2L >= 7) as the underlying improved bound
-    requires.  Thread count never changes the report bytes.
+    requires.  Realizations run serially: each one holds the GIL, so worker
+    threads would only add contention.  `threads` is accepted and ignored.
     """
     params = lr_parameters(cfg)
     if cfg.epsilon is not None:
@@ -416,15 +370,10 @@ def monte_carlo_sweep(cfg: DisorderConfig, threads: int = 1) -> SweepReport:
         source = "default: main_constant * (1 + v * max(t_grid)) * (2L + 1)"
     bounds_by_t = _bound_curve(cfg, params)
     separation_ok = 2 * cfg.L >= 7
-    run = lambda r: _run_realization(cfg, epsilon, bounds_by_t, separation_ok, r)
-    if threads > 1 and cfg.n_realizations > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(cfg.n_realizations)))
-    else:
-        results = [run(r) for r in range(cfg.n_realizations)]
     rows = []
     event_count = 0
-    for event, chunk in results:
+    for r in range(cfg.n_realizations):
+        event, chunk = _run_realization(cfg, epsilon, bounds_by_t, separation_ok, r)
         event_count += bool(event)
         rows.extend(chunk)
     applicable = sum(1 for r in rows if r.applicable)

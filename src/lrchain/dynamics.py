@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import ChainGeometry, SiteSupport, SupportError
+from .geometry import ChainGeometry, SupportError
 from .model import (
     ImpuritySpec,
     NNInteraction,
@@ -177,11 +177,6 @@ class EvolutionContext:
             return max(block_norm(w, a_rot, b_rot, t) for w, a_rot, b_rot in rotated)
 
         return norm_at
-
-
-def commutator_norm_evolved(ctx: EvolutionContext, a: DenseOperator, b: DenseOperator, t: float) -> float:
-    """|| [ exp(itH) A exp(-itH), B ] || on the full chain, for a single time."""
-    return ctx.commutator_norms(a, b)(t)
 
 
 class DecoupledDynamics:

@@ -11,21 +11,20 @@ Two entry points tie the library together:
   derivative, and the local-commutator approximation inequality) on a
   concrete model and reports measured residuals against fixed thresholds.
 
-Reports are written as CSV (canonical, byte-stable across reruns and thread
-counts) plus a JSON mirror carrying the config echo and wall-clock timings.
+Reports are written as CSV (canonical, byte-stable across reruns) plus a
+JSON mirror carrying the config echo and wall-clock timings.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import (
+    VIOLATION_TOL,
     BoundOutcome,
     LRParameters,
     apriori_bound,
@@ -54,14 +53,12 @@ from .operators import (
     DenseOperator,
     commutator,
     conditional_expectation,
-    embed_local,
     epsilon_unitaries,
     local_commutator_epsilon,
     operator_norm,
 )
-from .serialize import fmt_float, render_csv, render_json
+from .serialize import fmt_float, read_json_object, render_csv, render_json
 
-VIOLATION_TOL = 1e-9
 IDENTITY_TOL = 1e-9
 FD_REL_TOL = 1e-6
 RICHARDSON_REL_TOL = 1e-5
@@ -119,36 +116,39 @@ class ObservableSpec:
         return {"site": self.site, "op": rows}
 
 
+# eq=False: the observables hold numpy arrays, so configs compare by identity
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A verification or identity run: model, decay rate, observables, times.
 
     Construct directly from a loaded model for programmatic use, or with
     ``from_json`` from a config file whose `model` key names a model file
-    (resolved relative to the config's own directory).
+    (resolved relative to the config's own directory).  Frozen: derive a
+    variant with ``dataclasses.replace``, which validates again.
     """
 
-    def __init__(
-        self,
-        geom: ChainGeometry,
-        phi: NNInteraction,
-        imp: ImpuritySpec,
-        mu: float,
-        observable_a: ObservableSpec,
-        observable_b: ObservableSpec,
-        t_grid,
-        bound_set=DEFAULT_BOUNDS,
-        model_path: str | None = None,
-        out: str | None = None,
-        seed: int | None = None,
-    ):
-        if mu <= 0:
-            raise ConfigError(f"mu must be positive, got {mu}")
-        grid = tuple(float(t) for t in t_grid)
+    geom: ChainGeometry
+    phi: NNInteraction
+    imp: ImpuritySpec
+    mu: float
+    observable_a: ObservableSpec
+    observable_b: ObservableSpec
+    t_grid: tuple
+    bound_set: tuple = DEFAULT_BOUNDS
+    model_path: str | None = None
+    out: str | None = None
+    seed: int | None = None
+
+    def __post_init__(self):
+        geom = self.geom
+        if self.mu <= 0:
+            raise ConfigError(f"mu must be positive, got {self.mu}")
+        grid = tuple(float(t) for t in self.t_grid)
         if not grid:
             raise ConfigError("t_grid must be nonempty")
         if any(not np.isfinite(t) for t in grid):
             raise ConfigError(f"t_grid entries must be finite, got {list(grid)}")
-        for name, obs in (("observable_a", observable_a), ("observable_b", observable_b)):
+        for name, obs in (("observable_a", self.observable_a), ("observable_b", self.observable_b)):
             try:
                 geom.check_site(obs.site)
             except SupportError as exc:
@@ -158,7 +158,7 @@ class ExperimentConfig:
                     f"{name}: matrix shape {obs.matrix.shape} does not match local dimension {geom.local_dim}"
                 )
         seen = []
-        for name in bound_set:
+        for name in self.bound_set:
             if name == "double_commutator":
                 raise ConfigError(
                     "the double-commutator bound takes a third observable and a second time, which "
@@ -170,30 +170,15 @@ class ExperimentConfig:
                 seen.append(name)
         if not seen:
             raise ConfigError("bound set must name at least one bound")
-        self.geom = geom
-        self.phi = phi
-        self.imp = imp
-        self.mu = float(mu)
-        self.observable_a = observable_a
-        self.observable_b = observable_b
-        self.t_grid = grid
-        self.bound_set = tuple(n for n in BOUND_ORDER if n in seen)
-        self.model_path = model_path
-        self.out = out
-        self.seed = None if seed is None else int(seed)
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "t_grid", grid)
+        object.__setattr__(self, "bound_set", tuple(n for n in BOUND_ORDER if n in seen))
+        object.__setattr__(self, "seed", None if self.seed is None else int(self.seed))
 
     @classmethod
     def from_json(cls, path) -> ExperimentConfig:
         path = str(path)
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: top-level value must be an object")
+        doc = read_json_object(path, ConfigError)
         known = {"model", "mu", "observable_a", "observable_b", "t_grid", "bounds", "out", "seed"}
         unknown = set(doc) - known
         if unknown:
@@ -374,13 +359,7 @@ class VerifyReport:
         return {
             "config": self.config,
             "derived_parameters": {
-                "mu": p.mu,
-                "phi_norm": p.phi_norm,
-                "c_mu": p.c_mu,
-                "K_mu": p.K_mu,
-                "C0": p.C0,
-                "v": p.v,
-                "series_radius": p.series_radius,
+                **p.echo(),
                 "main_constant": main_constant(p, int(self.config["chain"]["local_dim"])),
                 "derivative_bound_constant": derivative_bound_constant(p),
             },
@@ -461,10 +440,10 @@ def find_improvement_points(records) -> tuple:
 def run_verify(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> VerifyReport:
     """Sweep the time grid, compare exact norms with all requested bounds.
 
-    Records at distinct grid points may be computed concurrently; emission is
-    ordered by grid index, so the CSV bytes never depend on scheduling.  When
-    the config carries an output prefix and `write` is true, the CSV and its
-    JSON mirror are written to `<prefix>.csv` / `<prefix>.json`.
+    Grid points are computed serially, in grid order; `threads` is accepted
+    and ignored.  When the config carries an output prefix and `write` is
+    true, the CSV and its JSON mirror are written to `<prefix>.csv` /
+    `<prefix>.json`.
     """
     params = cfg.parameters()
     ctx = EvolutionContext(build_perturbed_hamiltonian(cfg.phi, cfg.imp, cfg.geom), cfg.geom)
@@ -483,12 +462,7 @@ def run_verify(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> V
         wall = (time.perf_counter() - start) * 1e3
         return ExperimentRecord(t, d, len(window), exact, outcomes, wall)
 
-    if threads > 1 and len(cfg.t_grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(one, cfg.t_grid))
-    else:
-        records = tuple(one(t) for t in cfg.t_grid)
-
+    records = tuple(one(t) for t in cfg.t_grid)
     violations = tuple(msg for r in records for msg in r.violations())
     report = VerifyReport(
         config=cfg.echo(),
@@ -500,21 +474,21 @@ def run_verify(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> V
         spectral_blocks=tuple(len(idx) for idx in ctx.spectral_blocks),
     )
     if write and cfg.out is not None:
-        write_report(report, cfg.out)
+        write_report(cfg.out, report.to_csv(), report.to_json())
     return report
 
 
-def write_report(report, prefix: str) -> tuple:
-    """Write `<prefix>.csv` and `<prefix>.json`; returns the two paths."""
+def write_report(prefix: str, csv_text: str, json_text: str) -> tuple:
+    """Write `<prefix>.csv` and `<prefix>.json`, creating parent directories; returns the two paths."""
     prefix = str(prefix)
     parent = os.path.dirname(prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)
     csv_path, json_path = prefix + ".csv", prefix + ".json"
     with open(csv_path, "w") as fh:
-        fh.write(report.to_csv())
+        fh.write(csv_text)
     with open(json_path, "w") as fh:
-        fh.write(report.to_json())
+        fh.write(json_text)
     return csv_path, json_path
 
 
@@ -699,10 +673,10 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
         eps = local_commutator_epsilon(evolved, keep, geom)
         projected = conditional_expectation(evolved, keep, geom)
         lhs = operator_norm((evolved - projected).matrix)
-        excess = lhs - eps * operator_norm(evolved.matrix)
-        return max(excess, 0.0), (
+        rhs = eps * operator_norm(evolved.matrix)
+        return max(lhs - rhs, 0.0), (
             f"||(id - E)(evolved A)|| = {fmt_float(lhs)} vs eps * norm = "
-            f"{fmt_float(eps * operator_norm(evolved.matrix))} on keep = {keep}; "
+            f"{fmt_float(rhs)} on keep = {keep}; "
             f"{len(epsilon_unitaries(keep, geom))} unitaries"
         )
 
@@ -735,7 +709,7 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
     wall = (time.perf_counter() - start) * 1e3
     report = IdentitiesReport(config=cfg.echo(), site=site, t=t, checks=tuple(checks), wall_time_ms=wall)
     if write and cfg.out is not None:
-        write_report(report, cfg.out)
+        write_report(cfg.out, report.to_csv(), report.to_json())
     return report
 
 

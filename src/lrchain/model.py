@@ -14,7 +14,6 @@ impurity eigenspaces and makes the two half-chains evolve independently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .operators import (
     identity_matrix,
     operator_norm,
 )
+from .serialize import read_json_object
 
 DEGENERACY_TOL = 1e-8
 PROJECTOR_TOL = 1e-10
@@ -472,16 +472,7 @@ def load_model(path) -> tuple[ChainGeometry, NNInteraction, ImpuritySpec]:
     syntax errors).
     """
     path = str(path)
-    try:
-        with open(path) as fh:
-            raw = fh.read()
-        doc = json.loads(raw)
-    except OSError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: top-level value must be an object")
+    doc = read_json_object(path, ModelFormatError)
 
     half_length = _require(doc, "L", int, path)
     local_dim = _require(doc, "D", int, path)

@@ -1,4 +1,5 @@
-"""Deterministic text serialization shared by the report writers.
+"""Deterministic text serialization shared by the report writers, and the
+one JSON reader shared by the config and model loaders.
 
 Floats are written with 17 significant digits (round-trip exact for IEEE
 doubles); booleans as lowercase true/false; missing values as empty fields.
@@ -47,3 +48,21 @@ def _json_default(x):
 
 def render_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=False, default=_json_default) + "\n"
+
+
+def read_json_object(path: str, error: type = ValueError) -> dict:
+    """Decode the JSON file at `path`, which must hold an object.
+
+    A missing or unreadable file, malformed JSON (reported by line and
+    column) and a non-object top level all raise `error` with the path.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise error(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: top-level value must be an object")
+    return doc

@@ -5,11 +5,9 @@ from scipy.special import comb
 
 from lrchain.bounds import (
     BoundOutcome,
-    BoundReport,
     ConvergenceError,
     LRParameters,
     apriori_bound,
-    bound_report,
     compute_K_mu,
     compute_c_mu,
     decay_profile,
@@ -22,8 +20,10 @@ from lrchain.bounds import (
     uniform_impurity_bound,
     window_decay_sum,
 )
-from lrchain.geometry import SiteSupport, site_distance
-from lrchain.model import ImpuritySpec
+from lrchain.disorder import heisenberg_bond
+from lrchain.geometry import ChainGeometry, SiteSupport, site_distance
+from lrchain.harness import ExperimentConfig, ExperimentRecord, ObservableSpec, run_verify
+from lrchain.model import ImpuritySpec, NNInteraction
 from lrchain.operators import PAULI
 
 MUS = (0.5, 1.0, 2.0)
@@ -413,32 +413,38 @@ class TestDoubleCommutatorBound:
 
 
 class TestBoundReport:
+    # a verify record carries each bound next to the exact norm it is checked against
+
+    @staticmethod
+    def record(exact, *bounds):
+        return ExperimentRecord(0.5, 8, 0, exact, bounds, 0.0)
+
     def test_report_fields(self):
-        p = params_for(1.0)
+        geom = ChainGeometry(4, 2)
+        phi = NNInteraction(geom, uniform_bond=heisenberg_bond(1.0))
         imp = window_instance(sites=(0,), coupling=50.0)
-        rep = bound_report(p, 2, SA, SB, imp, 0.5, exact=1e-3)
+        sz = np.array(PAULI["sz"])
+        cfg = ExperimentConfig(
+            geom, phi, imp, 1.0, ObservableSpec(-4, sz, "sz"), ObservableSpec(4, sz, "sz"), (0.5,)
+        )
+        rep = run_verify(cfg, write=False).records[0]
+        p = cfg.parameters()
         assert rep.t == 0.5 and rep.distance == 8 and rep.window_size == 1
-        assert rep.prefactor_product == 100.0
-        assert rep.apriori == apriori_bound(p, 0.5, 8)
-        assert rep.main.value == main_bound(p, 2, SA, SB, imp, 0.5).value
+        assert rep.bound("main").prefactor_product == 100.0
+        assert rep.bound("apriori").value == apriori_bound(p, 0.5, 8)
+        assert rep.bound("main").value == main_bound(p, 2, SA, SB, imp, 0.5).value
 
     def test_violation_messages(self):
-        good = BoundReport(
-            t=0.5, distance=8, window_size=0, prefactor_product=1.0,
-            apriori=2.0, main=BoundOutcome(1.5, True), exact=1.0,
-        )
+        good = self.record(1.0, ("apriori", BoundOutcome(2.0, True)), ("main", BoundOutcome(1.5, True)))
         assert good.violations() == []
-        bad = BoundReport(
-            t=0.5, distance=8, window_size=0, prefactor_product=1.0,
-            apriori=0.5, main=BoundOutcome(0.25, True), exact=1.0,
-        )
+        bad = self.record(1.0, ("apriori", BoundOutcome(0.5, True)), ("main", BoundOutcome(0.25, True)))
         msgs = bad.violations()
         assert len(msgs) == 2
-        assert "a-priori" in msgs[0] and "impurity" in msgs[1]
+        assert "apriori" in msgs[0] and "main" in msgs[1]
 
     def test_no_exact_no_violations(self):
-        rep = BoundReport(
-            t=0.5, distance=8, window_size=0, prefactor_product=1.0,
-            apriori=0.0, main=BoundOutcome.not_applicable("x"), exact=None,
+        # a vanishing exact norm meets a zero bound, and an inapplicable bound is never compared
+        rep = self.record(
+            0.0, ("apriori", BoundOutcome(0.0, True)), ("main", BoundOutcome.not_applicable("x"))
         )
         assert rep.violations() == []

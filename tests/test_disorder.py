@@ -13,7 +13,6 @@ from lrchain.disorder import (
     DisorderConfig,
     build_heisenberg_sparse_field,
     default_epsilon,
-    disorder_bound,
     heisenberg_bond,
     heisenberg_sparse_field_model,
     large_deviation_indicator,
@@ -24,10 +23,10 @@ from lrchain.disorder import (
     splitmix64,
     wilson_interval,
 )
-from lrchain.dynamics import EvolutionContext, commutator_norm_evolved
+from lrchain.dynamics import EvolutionContext
 from lrchain.model import build_perturbed_hamiltonian
 from lrchain.operators import PAULI, DenseOperator, operator_norm
-from util import chain_hamiltonian_oracle, heavy_tail_cdf
+from util import assert_json_object_errors, chain_hamiltonian_oracle, heavy_tail_cdf
 
 
 def config(**overrides):
@@ -36,6 +35,13 @@ def config(**overrides):
     )
     base.update(overrides)
     return DisorderConfig(**base)
+
+
+def closed_form_bound(cfg, t):
+    """e^{v t} * e^{-2 mu L} * e^{-(2L+1)^(1-b) ln(2L+1)}: growth times the half-length factor."""
+    p = lr_parameters(cfg)
+    n = 2 * cfg.L + 1
+    return np.exp(p.v * t) * (np.exp(-2.0 * cfg.mu * cfg.L) * np.exp(-(n ** (1.0 - cfg.b)) * log(n)))
 
 
 class TestSplitMix64:
@@ -189,6 +195,7 @@ class TestDisorderConfig:
             DisorderConfig.from_json(p)
         with pytest.raises(ValueError, match="missing.json"):
             DisorderConfig.from_json(tmp_path / "missing.json")
+        assert_json_object_errors(DisorderConfig.from_json, tmp_path, ValueError)
 
 
 class TestRealizationModel:
@@ -255,27 +262,39 @@ class TestLargeDeviationEvent:
             large_deviation_indicator(couplings, cfg, 1.0)
 
 
+def sweep_bounds(cfg):
+    """{t: bound} from a sweep's rows; L_exact = 0 skips the exact dynamics."""
+    rows = monte_carlo_sweep(dataclasses.replace(cfg, L_exact=0)).rows
+    return {row.t: row.bound for row in rows}
+
+
 class TestDisorderBound:
     def test_formula(self):
-        cfg = config(L=3, b=0.5)
+        cfg = config(L=3, b=0.5, t_grid=(0.0, 0.5, 2.0))
         p = lr_parameters(cfg)
         n = 2 * cfg.L + 1
+        got = sweep_bounds(cfg)
         for t in (0.0, 0.5, 2.0):
             want = np.exp(p.v * t) * np.exp(-2.0 * cfg.mu * cfg.L) * np.exp(-(n ** 0.5) * log(n))
-            assert abs(disorder_bound(cfg, t) - want) <= 1e-12 * max(want, 1e-300)
+            assert abs(got[t] - want) <= 1e-12 * max(want, 1e-300)
 
     def test_half_length_zero_degenerates(self):
-        cfg = config()
+        # at half-length 0 the bound is e^{v|t|}; at any half-length the
+        # extra factor does not depend on t, so bound(t) = e^{v t} bound(0)
+        cfg = config(t_grid=(0.0, 0.7))
         p = lr_parameters(cfg)
-        assert abs(disorder_bound(cfg, 0.7, half_length=0) - np.exp(p.v * 0.7)) <= 1e-9 * np.exp(p.v * 0.7)
+        got = sweep_bounds(cfg)
+        assert abs(got[0.7] / got[0.0] - np.exp(p.v * 0.7)) <= 1e-9 * np.exp(p.v * 0.7)
 
     def test_scale_and_domain(self):
-        cfg = config()
-        assert abs(disorder_bound(cfg, 0.5, scale=4.0) - 4.0 * disorder_bound(cfg, 0.5)) <= 1e-15
+        # the rows bound unit-norm edge observables, the same for every realization
+        cfg = config(n_realizations=3, L_exact=0)
+        rows = monte_carlo_sweep(cfg).rows
+        assert {row.bound for row in rows} == {closed_form_bound(cfg, 0.5)}
         with pytest.raises(ValueError):
-            disorder_bound(cfg, 0.5, half_length=-1)
-        with pytest.raises(TypeError):
-            disorder_bound("not a config", 0.5)
+            config(L=-1)
+        with pytest.raises(ValueError):
+            config(t_grid=(-0.5,))
 
     def test_default_epsilon_formula(self):
         cfg = config(t_grid=(0.25, 0.5))
@@ -343,7 +362,7 @@ class TestMonteCarloSweep:
         rep = monte_carlo_sweep(cfg)
         assert len(rep.rows) == 6
         for row in rep.rows:
-            assert row.bound == disorder_bound(cfg, row.t)
+            assert row.bound == closed_form_bound(cfg, row.t)
             assert row.exact_norm is not None  # L <= L_exact so dynamics ran
             assert 0.0 <= row.exact_norm <= 2.0 + 1e-9
             # separation 2L = 6 < 7: conditional check never applicable here
@@ -382,7 +401,7 @@ class TestMonteCarloSweep:
         ctx = EvolutionContext(build_perturbed_hamiltonian(phi, imp, geom), geom)
         a = DenseOperator.single_site(-3, PAULI["sz"])
         b = DenseOperator.single_site(3, PAULI["sz"])
-        want = commutator_norm_evolved(ctx, a, b, 0.5)
+        want = ctx.commutator_norms(a, b)(0.5)
         assert abs(rep.rows[0].exact_norm - want) <= 1e-12
 
     def test_large_chain_skips_exact_dynamics(self):

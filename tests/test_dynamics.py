@@ -6,7 +6,6 @@ from lrchain.dynamics import (
     FD_PHASE_STEP,
     DecoupledDynamics,
     EvolutionContext,
-    commutator_norm_evolved,
     connected_components,
 )
 from lrchain.geometry import ChainGeometry, SiteSupport, SupportError
@@ -121,7 +120,7 @@ class TestEvolutionContext:
         ev = ctx.evolve(a, 0.8)
         bf = embed_local(b, geom.full_support, geom)
         want = operator_norm(commutator(ev, bf))
-        assert abs(commutator_norm_evolved(ctx, a, b, 0.8) - want) <= 1e-13
+        assert abs(ctx.commutator_norms(a, b)(0.8) - want) <= 1e-13
 
     def test_commutator_norms_match_reference_route(self, rng):
         # eigenbasis-resident norms against evolving A and commuting with the
@@ -231,7 +230,7 @@ class TestDecoupledDynamics:
         geom, phi, imp, dyn = decoupling_instance(rng, 5.0)
         a = DenseOperator.single_site(-1, random_hermitian(rng, 2, norm=1.0))
         b = DenseOperator.single_site(1, random_hermitian(rng, 2, norm=1.0))
-        assert commutator_norm_evolved(dyn.full, a, b, 2.0) > 1e-3
+        assert dyn.full.commutator_norms(a, b)(2.0) > 1e-3
 
     def test_phase_conjugation_identity(self, rng):
         # removing the decoupling-site coupling only rotates each transition

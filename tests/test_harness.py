@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from lrchain.bounds import BoundOutcome, LRParameters, apriori_bound
+from lrchain.cli import _cmd_constants, build_parser
 from lrchain.cli import main as cli_main
 from lrchain.geometry import ChainGeometry, SiteSupport
 from lrchain.harness import (
@@ -27,7 +29,7 @@ from lrchain.harness import (
 )
 from lrchain.model import ImpuritySpec, NNInteraction
 from lrchain.operators import PAULI
-from util import random_hermitian
+from util import assert_json_object_errors, random_hermitian
 
 
 def make_config(
@@ -230,6 +232,7 @@ class TestExperimentConfig:
             ExperimentConfig.from_json(p)
         with pytest.raises(ConfigError, match="gone.json"):
             ExperimentConfig.from_json(tmp_path / "gone.json")
+        assert_json_object_errors(ExperimentConfig.from_json, tmp_path, ConfigError)
 
 
 class TestRunVerify:
@@ -311,9 +314,11 @@ class TestRunVerify:
 
     def test_json_doc_reasons_surface(self, rng):
         # too-close observables make the improved bound inapplicable, with the reason recorded
-        cfg = make_config(rng, half_length=3, impurity_sites=(0,))
-        cfg.observable_a = ObservableSpec(-1, np.array(PAULI["sz"]), "sz")
-        cfg.observable_b = ObservableSpec(1, np.array(PAULI["sz"]), "sz")
+        cfg = dataclasses.replace(
+            make_config(rng, half_length=3, impurity_sites=(0,)),
+            observable_a=ObservableSpec(-1, np.array(PAULI["sz"]), "sz"),
+            observable_b=ObservableSpec(1, np.array(PAULI["sz"]), "sz"),
+        )
         report = run_verify(cfg, write=False)
         main = report.records[0].bound("main")
         assert not main.applicable
@@ -506,7 +511,7 @@ class TestWriteReport:
         cfg = make_config(rng, t_grid=(0.25,))
         report = run_verify(cfg, write=False)
         prefix = tmp_path / "deep" / "nest" / "out"
-        csv_path, json_path = write_report(report, str(prefix))
+        csv_path, json_path = write_report(str(prefix), report.to_csv(), report.to_json())
         assert os.path.exists(csv_path) and os.path.exists(json_path)
 
 
@@ -607,11 +612,14 @@ class TestCli:
         reseeded = capsys.readouterr().out
         assert base != reseeded
 
-    def test_missing_config_is_exit_two(self, capsys):
+    def test_missing_config_is_exit_two(self, tmp_path, capsys):
         assert cli_main(["verify"]) == 2
         assert "config error" in capsys.readouterr().err
         assert cli_main(["disorder", "--config", "/no/such/file.json"]) == 2
         assert "config error" in capsys.readouterr().err
+        # the constants subcommand reads its optional config file through the same reader
+        constants = lambda p: _cmd_constants(build_parser().parse_args(["constants", "--config", str(p)]))
+        assert_json_object_errors(constants, tmp_path, ConfigError)
 
     def test_bad_threads_and_seed(self, cli_model, capsys):
         code = cli_main([

@@ -27,7 +27,7 @@ from lrchain.operators import (
     embed_local,
     operator_norm,
 )
-from util import chain_hamiltonian_oracle, random_hermitian
+from util import assert_json_object_errors, chain_hamiltonian_oracle, random_hermitian
 
 HEISENBERG = -(
     np.kron(PAULI["sx"], PAULI["sx"])
@@ -403,3 +403,4 @@ class TestLoadModel:
         p.write_text("[1, 2]")
         with pytest.raises(ModelFormatError, match="top-level"):
             load_model(p)
+        assert_json_object_errors(load_model, tmp_path, ModelFormatError)

@@ -1,4 +1,4 @@
-"""Independent numerical oracles for the test suite.
+"""Independent numerical oracles, and one shared loader check, for the test suite.
 
 Every oracle recomputes its quantity by a different route than the library
 (explicit index loops, eigvalsh instead of SVD, direct summation, einsum
@@ -8,9 +8,11 @@ correctness rather than a tautology.
 
 from __future__ import annotations
 
+import json
 import string
 
 import numpy as np
+import pytest
 
 
 def random_hermitian(rng, dim: int, norm: float | None = None) -> np.ndarray:
@@ -158,3 +160,27 @@ def heavy_tail_cdf(a: float, r) -> np.ndarray:
     """Distribution function 1 - r^(-a) on [1, inf)."""
     r = np.asarray(r, dtype=float)
     return np.where(r < 1.0, 0.0, 1.0 - r ** (-a))
+
+
+def assert_json_object_errors(load, tmp_path, error) -> None:
+    """`load(path)` raises exactly `error`, with the exact message, on a missing
+    file, on malformed JSON and on a top level that is not an object."""
+    missing = tmp_path / "absent.json"
+    broken = tmp_path / "broken.json"
+    broken.write_text('{\n  "L": 1,\n}')
+    try:
+        json.loads(broken.read_text())
+    except json.JSONDecodeError as exc:
+        decode = f"{broken}:{exc.lineno}:{exc.colno}: {exc.msg}"
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    cases = [
+        (missing, f"{missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (broken, decode),
+        (listed, f"{listed}: top-level value must be an object"),
+    ]
+    for path, message in cases:
+        with pytest.raises(error) as info:
+            load(path)
+        assert type(info.value) is error
+        assert str(info.value) == message
