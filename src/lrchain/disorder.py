@@ -26,8 +26,8 @@ import numpy as np
 from .bounds import VIOLATION_TOL, LRParameters, main_constant
 from .dynamics import EvolutionContext
 from .geometry import ChainGeometry
-from .model import ImpuritySpec, NNInteraction, build_perturbed_hamiltonian
-from .operators import PAULI, DenseOperator
+from .model import ImpuritySpec, NNInteraction, build_nn_hamiltonian
+from .operators import PAULI, DenseOperator, embed_local
 from .serialize import fmt_float, read_json_object, render_csv, render_json
 
 _MASK64 = (1 << 64) - 1
@@ -150,15 +150,8 @@ class DisorderConfig:
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def heisenberg_sparse_field_model(cfg: DisorderConfig, couplings) -> tuple:
-    """(geometry, interaction, impurities) for one field realization.
-
-    `couplings` maps sublattice sites to field strengths; sites outside the
-    chain are allowed (the large-deviation event counts them) and ignored
-    here.  Strengths below 1, outside the sampler's support, are rejected.
-    """
-    geom = ChainGeometry(cfg.L, 2)
-    phi = NNInteraction(geom, uniform_bond=heisenberg_bond(cfg.J))
+def _field_strengths(cfg: DisorderConfig, couplings) -> dict:
+    """Field strength at each chain sublattice site, checked against the sampler's support."""
     sites = cfg.field_sites()
     missing = [x for x in sites if x not in couplings]
     if missing:
@@ -169,14 +162,56 @@ def heisenberg_sparse_field_model(cfg: DisorderConfig, couplings) -> tuple:
         if lam < 1.0:
             raise ValueError(f"field strength at site {x} is {lam}; the heavy-tail support starts at 1")
         lams[x] = lam
-    imp = ImpuritySpec.uniform(sites, PAULI["sz"], lams)
+    return lams
+
+
+def heisenberg_sparse_field_model(cfg: DisorderConfig, couplings) -> tuple:
+    """(geometry, interaction, impurities) for one field realization.
+
+    `couplings` maps sublattice sites to field strengths; sites outside the
+    chain are allowed (the large-deviation event counts them) and ignored
+    here.  Strengths below 1, outside the sampler's support, are rejected.
+    """
+    geom = ChainGeometry(cfg.L, 2)
+    phi = NNInteraction(geom, uniform_bond=heisenberg_bond(cfg.J))
+    imp = ImpuritySpec.uniform(cfg.field_sites(), PAULI["sz"], _field_strengths(cfg, couplings))
     return geom, phi, imp
+
+
+class SparseFieldChain:
+    """The exchange chain of one sweep, built once; a realization adds only its field diagonal.
+
+    Holds the embedded exchange Hamiltonian, the diagonal of sz embedded at
+    each field site, and the full-chain sz observables at the two chain
+    edges.  `hamiltonian(couplings)` is exchange + diag(sum_x lam_x sz_x),
+    the sum taken in site order from zero: embedded sz is exactly +-1, so
+    the matrix equals `build_perturbed_hamiltonian` of
+    `heisenberg_sparse_field_model` entry for entry.  Building it costs
+    dense chain matrices, so only chains within exact reach should build it.
+    """
+
+    def __init__(self, cfg: DisorderConfig):
+        self.cfg = cfg
+        self.geom = ChainGeometry(cfg.L, 2)
+        phi = NNInteraction(self.geom, uniform_bond=heisenberg_bond(cfg.J))
+        self.exchange = build_nn_hamiltonian(phi, self.geom).matrix
+        self.field_diagonals = {x: self._sz(x).matrix.diagonal().real.copy() for x in cfg.field_sites()}
+        self.edge_observables = (self._sz(-cfg.L), self._sz(cfg.L))
+
+    def _sz(self, site: int) -> DenseOperator:
+        return embed_local(DenseOperator.single_site(site, PAULI["sz"]), self.geom.full_support, self.geom)
+
+    def hamiltonian(self, couplings) -> DenseOperator:
+        """Exchange plus this realization's field diagonal; couplings are checked as by the model."""
+        field = np.zeros(self.geom.total_dim)
+        for x, lam in _field_strengths(self.cfg, couplings).items():
+            field += lam * self.field_diagonals[x]
+        return DenseOperator(self.geom.full_support, self.exchange + np.diag(field))
 
 
 def build_heisenberg_sparse_field(cfg: DisorderConfig, couplings) -> DenseOperator:
     """Full Hamiltonian of one realization: exchange bonds plus z-fields."""
-    geom, phi, imp = heisenberg_sparse_field_model(cfg, couplings)
-    return build_perturbed_hamiltonian(phi, imp, geom)
+    return SparseFieldChain(cfg).hamiltonian(couplings)
 
 
 def lr_parameters(cfg: DisorderConfig) -> LRParameters:
@@ -331,16 +366,13 @@ class SweepReport:
         ]
 
 
-def _run_realization(cfg, epsilon, bounds_by_t, separation_ok, realization):
+def _run_realization(cfg, epsilon, bounds_by_t, separation_ok, chain, realization):
     child, couplings = sample_couplings(cfg, realization)
     event = large_deviation_indicator(couplings, cfg, epsilon)
     exact_by_t = None
-    if cfg.L <= cfg.L_exact:
-        geom, phi, imp = heisenberg_sparse_field_model(cfg, couplings)
-        ctx = EvolutionContext(build_perturbed_hamiltonian(phi, imp, geom), geom)
-        a = DenseOperator.single_site(-cfg.L, PAULI["sz"])
-        b = DenseOperator.single_site(cfg.L, PAULI["sz"])
-        exact_norm = ctx.commutator_norms(a, b)
+    if chain is not None:
+        ctx = EvolutionContext(chain.hamiltonian(couplings), chain.geom)
+        exact_norm = ctx.commutator_norms(*chain.edge_observables)
         exact_by_t = {t: exact_norm(t) for t in cfg.t_grid}
     rows = []
     for t in cfg.t_grid:
@@ -359,8 +391,12 @@ def monte_carlo_sweep(cfg: DisorderConfig, threads: int = 1) -> SweepReport:
     conditional bound is actually checkable: the event occurred, the chain
     is small enough for exact dynamics (L <= L_exact), and the supports are
     separated by at least 7 sites (2L >= 7) as the underlying improved bound
-    requires.  Realizations run serially: each one holds the GIL, so worker
-    threads would only add contention.  `threads` is accepted and ignored.
+    requires.  On such chains the exchange Hamiltonian, the field-site sz
+    diagonals and the edge observables are built once per sweep
+    (`SparseFieldChain`), and each realization only adds its field
+    diagonal; longer chains build no chain matrix at all.  Realizations run
+    serially: each one holds the GIL, so worker threads would only add
+    contention.  `threads` is accepted and ignored.
     """
     params = lr_parameters(cfg)
     if cfg.epsilon is not None:
@@ -370,10 +406,11 @@ def monte_carlo_sweep(cfg: DisorderConfig, threads: int = 1) -> SweepReport:
         source = "default: main_constant * (1 + v * max(t_grid)) * (2L + 1)"
     bounds_by_t = _bound_curve(cfg, params)
     separation_ok = 2 * cfg.L >= 7
+    chain = SparseFieldChain(cfg) if cfg.L <= cfg.L_exact else None
     rows = []
     event_count = 0
     for r in range(cfg.n_realizations):
-        event, chunk = _run_realization(cfg, epsilon, bounds_by_t, separation_ok, r)
+        event, chunk = _run_realization(cfg, epsilon, bounds_by_t, separation_ok, chain, r)
         event_count += bool(event)
         rows.extend(chunk)
     applicable = sum(1 for r in rows if r.applicable)

@@ -85,6 +85,9 @@ class EvolutionContext:
         h = hamiltonian.matrix
         n = h.shape[0]
         self.spectral_blocks = connected_components(h != 0)
+        self._block_of = np.empty(n, dtype=int)
+        for label, idx in enumerate(self.spectral_blocks):
+            self._block_of[idx] = label
         self.eigenvalues = np.empty(n)
         self.eigenvectors = np.zeros((n, n), dtype=complex)
         # off-block entries are exactly zero in H and in the rebuilt matrix,
@@ -126,30 +129,42 @@ class EvolutionContext:
         core *= phases[:, None] * phases.conj()[None, :]
         return DenseOperator(full.support, self.from_eigenbasis(core))
 
+    def _norm_groups(self, a: np.ndarray, b: np.ndarray) -> list:
+        """Connected components of (H != 0) | (A != 0) | (B != 0) for full-chain A and B.
+
+        When every nonzero entry of A and B joins two states of one spectral
+        block, as for any diagonal pair, these are the spectral blocks
+        themselves, in the same order; otherwise the union pattern is split
+        afresh.
+        """
+        touched = (a != 0) | (b != 0)
+        if not np.any(touched & (self._block_of[:, None] != self._block_of[None, :])):
+            return self.spectral_blocks
+        return connected_components((self.hamiltonian.matrix != 0) | touched)
+
     def commutator_norms(self, a: DenseOperator, b: DenseOperator):
         """The function t -> || [ exp(itH) A exp(-itH), B ] || on the full chain.
 
         Basis states are grouped into the connected components of
-        (H != 0) | (A != 0) | (B != 0) for the embedded A and B.  H, A and B
-        are block-diagonal over these groups, hence so is the commutator, and
-        its norm is the largest of the block norms.  The norm is unitarily
-        invariant, so each block of A and B is rotated into the eigenbasis
-        once (A', B'); each time point then costs, per block, the phase
-        pattern X = p A' p^dag with p = exp(itw), the product M = X B' and
-        one norm.  When both local matrices are exactly Hermitian,
-        [X, B'] = M - M^dag in exact arithmetic, and i (M - M^dag) is
-        Hermitian entry for entry, so `operator_norm` takes `eigvalsh`;
-        otherwise the commutator is M - B' X.  At t = 0 the commutator is
-        formed in the computational basis, where disjoint supports commute
-        exactly.
+        (H != 0) | (A != 0) | (B != 0) for the embedded A and B
+        (`_norm_groups`).  H, A and B are block-diagonal over these groups,
+        hence so is the commutator, and its norm is the largest of the block
+        norms.  The norm is unitarily invariant, so each block of A and B is
+        rotated into the eigenbasis once (A', B'); each time point then
+        costs, per block, the phase pattern X = p A' p^dag with
+        p = exp(itw), the product M = X B' and one norm.  When both local
+        matrices are exactly Hermitian, [X, B'] = M - M^dag in exact
+        arithmetic, and i (M - M^dag) is Hermitian entry for entry, so
+        `operator_norm` takes `eigvalsh`; otherwise the commutator is
+        M - B' X.  At t = 0 the commutator is formed in the computational
+        basis, where disjoint supports commute exactly.
         """
         geom = self.geom
         a_full = embed_local(a, geom.full_support, geom)
         b_full = embed_local(b, geom.full_support, geom)
         hermitian = all(np.array_equal(m, m.conj().T) for m in (a.matrix, b.matrix))
-        pattern = (self.hamiltonian.matrix != 0) | (a_full.matrix != 0) | (b_full.matrix != 0)
         rotated = []
-        for idx in connected_components(pattern):
+        for idx in self._norm_groups(a_full.matrix, b_full.matrix):
             block = np.ix_(idx, idx)
             u = self.eigenvectors[block]
             u_dag = u.conj().T

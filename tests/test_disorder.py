@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from lrchain import disorder
 from lrchain.bounds import main_constant
 from lrchain.disorder import (
     SUBSTITUTION_NOTE,
     SWEEP_CSV_HEADER,
     DisorderConfig,
+    SparseFieldChain,
     build_heisenberg_sparse_field,
     default_epsilon,
     heisenberg_bond,
@@ -228,6 +230,40 @@ class TestRealizationModel:
         with pytest.raises(ValueError, match="missing couplings"):
             heisenberg_sparse_field_model(cfg, couplings)
 
+    def test_chain_builder_validates_like_the_model(self):
+        cfg = config(L=3)
+        chain = SparseFieldChain(cfg)
+        couplings = {x: 1.5 for x in cfg.event_sites()}
+        subunit = {**couplings, 0: 0.5}
+        missing = {x: lam for x, lam in couplings.items() if x != 2}
+        for bad, pattern in ((subunit, "support starts at 1"), (missing, "missing couplings")):
+            with pytest.raises(ValueError, match=pattern) as want:
+                heisenberg_sparse_field_model(cfg, bad)
+            with pytest.raises(ValueError, match=pattern) as got:
+                chain.hamiltonian(bad)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("half_length", [3, 4])
+    def test_sweep_hamiltonians_equal_generic_build(self, half_length, monkeypatch):
+        # the sweep adds each realization's field diagonal to one exchange
+        # build; embedded sz is exactly +-1, so every entry must agree exactly
+        cfg = config(L=half_length, L_exact=half_length, n_realizations=10)
+        seen = []
+
+        class Recording(EvolutionContext):
+            def __init__(self, hamiltonian, geom):
+                seen.append(hamiltonian.matrix)
+                super().__init__(hamiltonian, geom)
+
+        monkeypatch.setattr(disorder, "EvolutionContext", Recording)
+        monte_carlo_sweep(cfg)
+        assert len(seen) == cfg.n_realizations
+        for r, h in enumerate(seen):
+            _, couplings = sample_couplings(cfg, r)
+            geom, phi, imp = heisenberg_sparse_field_model(cfg, couplings)
+            assert np.array_equal(h, build_perturbed_hamiltonian(phi, imp, geom).matrix), r
+            assert np.array_equal(build_heisenberg_sparse_field(cfg, couplings).matrix, h), r
+
 
 class TestLargeDeviationEvent:
     def test_threshold_and_count(self):
@@ -404,7 +440,13 @@ class TestMonteCarloSweep:
         want = ctx.commutator_norms(a, b)(0.5)
         assert abs(rep.rows[0].exact_norm - want) <= 1e-12
 
-    def test_large_chain_skips_exact_dynamics(self):
+    def test_large_chain_skips_exact_dynamics(self, monkeypatch):
+        # one dense L=6 chain matrix would take 1 GB: nothing may build it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain was built beyond L_exact")
+
+        monkeypatch.setattr(disorder, "SparseFieldChain", refuse)
+        monkeypatch.setattr(disorder, "build_nn_hamiltonian", refuse)
         cfg = config(L=6, n_realizations=2, t_grid=(0.5,))
         rep = monte_carlo_sweep(cfg)
         for row in rep.rows:

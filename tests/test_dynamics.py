@@ -122,14 +122,16 @@ class TestEvolutionContext:
         want = operator_norm(commutator(ev, bf))
         assert abs(ctx.commutator_norms(a, b)(0.8) - want) <= 1e-13
 
-    def test_commutator_norms_match_reference_route(self, rng):
+    def test_commutator_norms_match_reference_route(self, rng, monkeypatch):
         # eigenbasis-resident norms against evolving A and commuting with the
         # embedded B in the computational basis; Hermitian pairs take the
         # eigvalsh route, the others the SVD.  Random bonds make H one block.
         # On the Heisenberg chain with sz fields, diagonal pairs keep one
         # block per S^z sector and the sx pair merges the sectors.  The
         # tolerance is the dense-ED floor 4 eps dim (||H|| |t| + 1) ||A|| ||B||
-        # plus 1e-9 relative.
+        # plus 1e-9 relative.  Where A and B stay inside H's blocks the norms
+        # reuse `spectral_blocks`; they must equal, bit for bit, the norms
+        # grouped by the components of the union pattern.
         geom, phi = random_chain(rng)
         random_h = build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom)
         heis_geom, heis_h = heisenberg_field_chain(rng)
@@ -154,14 +156,22 @@ class TestEvolutionContext:
             b_full = embed_local(b, geom.full_support, geom)
             a_full = embed_local(a, geom.full_support, geom)
             pattern = (h.matrix != 0) | (a_full.matrix != 0) | (b_full.matrix != 0)
-            assert len(connected_components(pattern)) == n_blocks
+            union = connected_components(pattern)
+            assert len(union) == n_blocks
+            groups = ctx._norm_groups(a_full.matrix, b_full.matrix)
+            assert [g.tolist() for g in groups] == [g.tolist() for g in union]
+            assert (groups is ctx.spectral_blocks) == (n_blocks == len(ctx.spectral_blocks))
             norm_at = ctx.commutator_norms(a, b)
+            with monkeypatch.context() as m:
+                m.setattr(ctx, "_norm_groups", lambda *_: connected_components(pattern))
+                union_at = ctx.commutator_norms(a, b)
             scale = operator_norm(a) * operator_norm(b)
             assert norm_at(0.0) == 0.0
             for t in (-1.7, -0.3, 0.05, 0.8, 2.5):
                 want = operator_norm(commutator(ctx.evolve(a, t), b_full))
                 floor = 4 * eps * dim * (h_norm * abs(t) + 1.0) * scale
                 assert abs(norm_at(t) - want) <= floor + 1e-9 * want, (t, norm_at(t), want)
+                assert norm_at(t) == union_at(t), t
             assert norm_at(2.5) > 1e-3
 
     def test_connected_components(self):
