@@ -24,7 +24,7 @@ from math import ceil, log
 import numpy as np
 
 from .bounds import VIOLATION_TOL, LRParameters, main_constant
-from .dynamics import EvolutionContext
+from .dynamics import commutator_norm_table
 from .geometry import ChainGeometry
 from .model import ImpuritySpec, NNInteraction, build_nn_hamiltonian
 from .operators import PAULI, DenseOperator, embed_local
@@ -201,12 +201,16 @@ class SparseFieldChain:
     def _sz(self, site: int) -> DenseOperator:
         return embed_local(DenseOperator.single_site(site, PAULI["sz"]), self.geom.full_support, self.geom)
 
-    def hamiltonian(self, couplings) -> DenseOperator:
-        """Exchange plus this realization's field diagonal; couplings are checked as by the model."""
+    def field(self, couplings) -> np.ndarray:
+        """This realization's field diagonal sum_x lam_x sz_x; couplings are checked as by the model."""
         field = np.zeros(self.geom.total_dim)
         for x, lam in _field_strengths(self.cfg, couplings).items():
             field += lam * self.field_diagonals[x]
-        return DenseOperator(self.geom.full_support, self.exchange + np.diag(field))
+        return field
+
+    def hamiltonian(self, couplings) -> DenseOperator:
+        """Exchange plus this realization's field diagonal."""
+        return DenseOperator(self.geom.full_support, self.exchange + np.diag(self.field(couplings)))
 
 
 def build_heisenberg_sparse_field(cfg: DisorderConfig, couplings) -> DenseOperator:
@@ -296,6 +300,7 @@ class SweepReport:
     event_count: int
     applicable_count: int
     violation_count: int
+    max_reconstruction_residual: float | None  # None when no realization was diagonalized
     note: str = SUBSTITUTION_NOTE
 
     @property
@@ -333,6 +338,7 @@ class SweepReport:
             "wilson_95": [lo, hi],
             "applicable_row_count": self.applicable_count,
             "violation_count": self.violation_count,
+            "max_reconstruction_residual": self.max_reconstruction_residual,
             "note": self.note,
             "rows": [
                 {
@@ -366,21 +372,16 @@ class SweepReport:
         ]
 
 
-def _run_realization(cfg, epsilon, bounds_by_t, separation_ok, chain, realization):
-    child, couplings = sample_couplings(cfg, realization)
+def _run_realization(cfg, epsilon, bounds_by_t, separation_ok, realization, child, couplings, exact):
+    """(event, rows) of one realization; `exact` holds its exact norms along t_grid, or is None."""
     event = large_deviation_indicator(couplings, cfg, epsilon)
-    exact_by_t = None
-    if chain is not None:
-        ctx = EvolutionContext(chain.hamiltonian(couplings), chain.geom)
-        exact_norm = ctx.commutator_norms(*chain.edge_observables)
-        exact_by_t = {t: exact_norm(t) for t in cfg.t_grid}
     rows = []
-    for t in cfg.t_grid:
-        exact = None if exact_by_t is None else exact_by_t[t]
+    for j, t in enumerate(cfg.t_grid):
+        norm = None if exact is None else float(exact[j])
         bound = bounds_by_t[t]
-        applicable = bool(event and exact is not None and separation_ok)
-        violated = bool(applicable and exact > bound + VIOLATION_TOL)
-        rows.append(SweepRow(realization, child, t, event, exact, bound, applicable, violated))
+        applicable = bool(event and norm is not None and separation_ok)
+        violated = bool(applicable and norm > bound + VIOLATION_TOL)
+        rows.append(SweepRow(realization, child, t, event, norm, bound, applicable, violated))
     return event, rows
 
 
@@ -393,10 +394,15 @@ def monte_carlo_sweep(cfg: DisorderConfig, threads: int = 1) -> SweepReport:
     separated by at least 7 sites (2L >= 7) as the underlying improved bound
     requires.  On such chains the exchange Hamiltonian, the field-site sz
     diagonals and the edge observables are built once per sweep
-    (`SparseFieldChain`), and each realization only adds its field
-    diagonal; longer chains build no chain matrix at all.  Realizations run
-    serially: each one holds the GIL, so worker threads would only add
-    contention.  `threads` is accepted and ignored.
+    (`SparseFieldChain`), and the exact norms of all realizations come from
+    one `commutator_norm_table` call: each S^z sector of the exchange chain
+    is gathered once, and chunks of realizations share one batched
+    eigendecomposition, rotation and norm per sector, with no per-realization
+    Hamiltonian or eigenvector matrix.  Each 2^n-long field diagonal is
+    formed when its chunk reads it, so the sweep keeps one chunk of them at
+    a time; only the couplings and the rows grow with `n_realizations`.
+    Longer chains build no chain matrix at all.  `threads` is accepted and
+    ignored: the batched LAPACK calls are the only parallel work.
     """
     params = lr_parameters(cfg)
     if cfg.epsilon is not None:
@@ -406,11 +412,19 @@ def monte_carlo_sweep(cfg: DisorderConfig, threads: int = 1) -> SweepReport:
         source = "default: main_constant * (1 + v * max(t_grid)) * (2L + 1)"
     bounds_by_t = _bound_curve(cfg, params)
     separation_ok = 2 * cfg.L >= 7
-    chain = SparseFieldChain(cfg) if cfg.L <= cfg.L_exact else None
+    draws = [sample_couplings(cfg, r) for r in range(cfg.n_realizations)]
+    exact, residuals = None, None
+    if cfg.L <= cfg.L_exact:
+        chain = SparseFieldChain(cfg)
+        fields = (chain.field(couplings) for _, couplings in draws)
+        exchange = DenseOperator(chain.geom.full_support, chain.exchange)
+        exact, residuals = commutator_norm_table(exchange, fields, *chain.edge_observables, chain.geom, cfg.t_grid)
     rows = []
     event_count = 0
-    for r in range(cfg.n_realizations):
-        event, chunk = _run_realization(cfg, epsilon, bounds_by_t, separation_ok, chain, r)
+    for r, (child, couplings) in enumerate(draws):
+        event, chunk = _run_realization(
+            cfg, epsilon, bounds_by_t, separation_ok, r, child, couplings, None if exact is None else exact[r]
+        )
         event_count += bool(event)
         rows.extend(chunk)
     applicable = sum(1 for r in rows if r.applicable)
@@ -439,4 +453,5 @@ def monte_carlo_sweep(cfg: DisorderConfig, threads: int = 1) -> SweepReport:
         event_count=event_count,
         applicable_count=applicable,
         violation_count=violations,
+        max_reconstruction_residual=float(residuals.max()) if residuals is not None and residuals.size else None,
     )

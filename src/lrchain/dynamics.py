@@ -15,6 +15,7 @@ full and decoupled evolutions of an observable.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -61,6 +62,76 @@ def connected_components(pattern: np.ndarray) -> list:
     return np.split(order, starts[1:])
 
 
+def _check_full_chain_hamiltonian(hamiltonian: DenseOperator, geom: ChainGeometry) -> None:
+    if hamiltonian.support != geom.full_support:
+        raise SupportError(
+            f"evolution needs a full-chain Hamiltonian, got support {hamiltonian.support}"
+        )
+    hamiltonian.validate_dim(geom)
+
+
+def _embedded_pair(a: DenseOperator, b: DenseOperator, geom: ChainGeometry) -> tuple:
+    """(A, B) embedded on the full chain, and whether both local matrices equal their adjoints exactly."""
+    hermitian = all(np.array_equal(m, m.conj().T) for m in (a.matrix, b.matrix))
+    return embed_local(a, geom.full_support, geom), embed_local(b, geom.full_support, geom), hermitian
+
+
+def _decompose(blocks: np.ndarray) -> tuple:
+    """Eigendecomposition of a Hermitian block or of a stack of them (..., k, k).
+
+    Returns (eigenvalues, eigenvectors, ||V diag(w) V^dag - block||_F^2,
+    ||block||_F^2), the last two with one entry per member.
+    """
+    evals, evecs = hermitian_spectral(blocks)
+    rebuilt = (evecs * evals[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    rebuilt -= blocks
+    return evals, evecs, _squared_frobenius(rebuilt), _squared_frobenius(blocks)
+
+
+def _squared_frobenius(m: np.ndarray) -> np.ndarray:
+    return np.sum(m.real**2 + m.imag**2, axis=(-2, -1))
+
+
+def _reconstruction_residual(squared_residual, squared_norm) -> np.ndarray:
+    """Relative Frobenius residual of each rebuilt Hamiltonian from per-block sums; raises above RECONSTRUCTION_TOL.
+
+    Off-block entries are exactly zero in H and in the rebuilt matrix, so
+    both Frobenius norms are sums over blocks.  With several Hamiltonians
+    the first one over tolerance raises.
+    """
+    residual = np.sqrt(squared_residual) / np.maximum(np.sqrt(squared_norm), 1e-300)
+    over = np.flatnonzero(residual > RECONSTRUCTION_TOL)
+    if over.size:
+        worst = float(np.ravel(residual)[over[0]])
+        raise ValueError(f"spectral reconstruction residual {worst:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
+    return residual
+
+
+def _rotate(evecs: np.ndarray, *blocks: np.ndarray) -> tuple:
+    """V^dag M V for each block M, with V one eigenvector matrix or a stack of them."""
+    evecs_dag = evecs.conj().swapaxes(-1, -2)
+    return tuple(evecs_dag @ m @ evecs for m in blocks)
+
+
+def _block_norms(eigenvalues: np.ndarray, a_rot: np.ndarray, b_rot: np.ndarray, t: float, hermitian: bool):
+    """|| [X, B'] || with X = p A' p^dag and p = exp(itw), for one block or a stack of them.
+
+    The commutator is formed as `EvolutionContext.commutator_norms` describes.
+    """
+    phases = np.exp(1j * t * eigenvalues)
+    x = a_rot * phases[..., :, None]
+    x *= phases.conj()[..., None, :]
+    m = x @ b_rot
+    if hermitian:
+        del x
+        m -= m.conj().swapaxes(-1, -2)
+        m *= 1j
+    else:
+        m -= b_rot @ x
+        del x
+    return operator_norm(m)
+
+
 class EvolutionContext:
     """One Hamiltonian, eigendecomposed once, evolving any observable exactly.
 
@@ -71,15 +142,12 @@ class EvolutionContext:
     sectors; a dense one is a single block.  The results are scattered into
     one eigenvalue vector and one dense unitary whose column k lies in the
     block of basis state k, so the eigenvalues ascend within each block but
-    not across blocks.
+    not across blocks.  `reconstruction_residual` is the relative Frobenius
+    residual of U diag(w) U^dag against H.
     """
 
     def __init__(self, hamiltonian: DenseOperator, geom: ChainGeometry):
-        if hamiltonian.support != geom.full_support:
-            raise SupportError(
-                f"evolution needs a full-chain Hamiltonian, got support {hamiltonian.support}"
-            )
-        hamiltonian.validate_dim(geom)
+        _check_full_chain_hamiltonian(hamiltonian, geom)
         self.geom = geom
         self.hamiltonian = hamiltonian
         h = hamiltonian.matrix
@@ -90,20 +158,16 @@ class EvolutionContext:
             self._block_of[idx] = label
         self.eigenvalues = np.empty(n)
         self.eigenvectors = np.zeros((n, n), dtype=complex)
-        # off-block entries are exactly zero in H and in the rebuilt matrix,
-        # so the Frobenius residual is a sum over blocks
-        squared_residual = 0.0
+        squared_residual = squared_norm = 0.0
         for idx in self.spectral_blocks:
             block = np.ix_(idx, idx)
-            evals, evecs = hermitian_spectral(h[block])
+            evals, evecs, block_residual, block_norm = _decompose(h[block])
             self.eigenvalues[idx] = evals
             self.eigenvectors[block] = evecs
-            rebuilt = (evecs * evals) @ evecs.conj().T
-            squared_residual += float(np.linalg.norm(rebuilt - h[block])) ** 2
-        scale = max(float(np.linalg.norm(h)), 1e-300)
-        residual = np.sqrt(squared_residual) / scale
-        if residual > RECONSTRUCTION_TOL:
-            raise ValueError(f"spectral reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
+            squared_residual += block_residual
+            squared_norm += block_norm
+        # ||U diag(w) U^dag - H||_F / ||H||_F
+        self.reconstruction_residual = float(_reconstruction_residual(squared_residual, squared_norm))
 
     def to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
         """U^dag M U: a full-chain matrix written in the eigenbasis of H."""
@@ -159,39 +223,96 @@ class EvolutionContext:
         M - B' X.  At t = 0 the commutator is formed in the computational
         basis, where disjoint supports commute exactly.
         """
-        geom = self.geom
-        a_full = embed_local(a, geom.full_support, geom)
-        b_full = embed_local(b, geom.full_support, geom)
-        hermitian = all(np.array_equal(m, m.conj().T) for m in (a.matrix, b.matrix))
+        a_full, b_full, hermitian = _embedded_pair(a, b, self.geom)
         rotated = []
         for idx in self._norm_groups(a_full.matrix, b_full.matrix):
             block = np.ix_(idx, idx)
-            u = self.eigenvectors[block]
-            u_dag = u.conj().T
-            a_rot = u_dag @ a_full.matrix[block] @ u
-            b_rot = u_dag @ b_full.matrix[block] @ u
+            a_rot, b_rot = _rotate(self.eigenvectors[block], a_full.matrix[block], b_full.matrix[block])
             rotated.append((self.eigenvalues[idx], a_rot, b_rot))
-
-        def block_norm(eigenvalues: np.ndarray, a_rot: np.ndarray, b_rot: np.ndarray, t: float) -> float:
-            phases = np.exp(1j * t * eigenvalues)
-            x = a_rot * phases[:, None]
-            x *= phases.conj()
-            m = x @ b_rot
-            if hermitian:
-                del x
-                m -= m.conj().T
-                m *= 1j
-            else:
-                m -= b_rot @ x
-                del x
-            return operator_norm(m)
 
         def norm_at(t: float) -> float:
             if t == 0.0:
                 return operator_norm(commutator(a_full, b_full))
-            return max(block_norm(w, a_rot, b_rot, t) for w, a_rot, b_rot in rotated)
+            return max(_block_norms(w, a_rot, b_rot, t, hermitian) for w, a_rot, b_rot in rotated)
 
         return norm_at
+
+
+# bytes of one stack of the largest group over a chunk of Hamiltonians in
+# `commutator_norm_table`: 13 Hamiltonians at L=3, whose largest S^z sector
+# has dimension 35.  A chunk keeps a few such stacks alive at a time, which
+# adds about a megabyte to the peak resident memory
+_STACK_CHUNK_BYTES = 1 << 18
+
+
+def commutator_norm_table(
+    h0: DenseOperator, diagonals, a: DenseOperator, b: DenseOperator, geom: ChainGeometry, times
+) -> tuple:
+    """|| [ exp(itH_r) A exp(-itH_r), B ] || for the Hamiltonians H_r = H0 + diag(d_r).
+
+    `diagonals` yields the vectors d_r, for example as the rows of an array
+    or from a generator; it is read one chunk at a time, so a generator
+    keeps only one chunk of them in memory.  Returns the norms, of shape
+    (R, len(times)), and the reconstruction residual of each H_r, as
+    `EvolutionContext.reconstruction_residual` defines it.
+
+    Every H_r has the off-diagonal zero pattern of H0, so the groups of
+    `EvolutionContext.commutator_norms`, the connected components of
+    (H0 != 0) | (A != 0) | (B != 0), are found and gathered from H0, A and B
+    once.  The Hamiltonians then run in chunks: per group, a chunk takes one
+    stacked `hermitian_spectral`, one stacked reconstruction check, one
+    stacked rotation of A and B and one stacked norm per time point, through
+    the arithmetic `EvolutionContext` applies to one H.  Where the groups
+    are the spectral blocks of H_r, as for any diagonal A and B, each norm
+    and residual equals, bit for bit, that of
+    `EvolutionContext(H_r).commutator_norms(A, B)`; otherwise a group that
+    joins several blocks is eigendecomposed whole, and the norms agree to
+    rounding.  The t = 0 column does not depend on H and is formed once in
+    the computational basis.  No dense eigenvector matrix of the chain is
+    formed.  The chunk holds as many Hamiltonians as one stack of the
+    largest group fits in `_STACK_CHUNK_BYTES`.
+    """
+    _check_full_chain_hamiltonian(h0, geom)
+    h = h0.matrix
+    times = tuple(float(t) for t in times)
+    a_full, b_full, hermitian = _embedded_pair(a, b, geom)
+    groups = connected_components((h != 0) | (a_full.matrix != 0) | (b_full.matrix != 0))
+    gathered = []
+    for idx in groups:
+        block = np.ix_(idx, idx)
+        gathered.append((idx, h[block], a_full.matrix[block], b_full.matrix[block]))
+    largest = max(len(idx) for idx in groups)
+    chunk = max(1, _STACK_CHUNK_BYTES // (16 * largest * largest))  # 16 bytes per complex128 entry
+
+    diagonals = iter(diagonals)
+    norm_chunks, residual_chunks = [np.zeros((0, len(times)))], [np.zeros(0)]
+    while len(chunk_diagonals := np.array(list(islice(diagonals, chunk)))):
+        if chunk_diagonals.ndim != 2 or chunk_diagonals.shape[1] != h.shape[0]:
+            raise ValueError(
+                f"expected diagonals of shape (R, {h.shape[0]}), got rows of shape {chunk_diagonals.shape[1:]}"
+            )
+        norms = np.zeros((len(chunk_diagonals), len(times)))
+        squared_residual = squared_norm = 0.0
+        for idx, h_block, a_block, b_block in gathered:
+            k = len(idx)
+            stack = np.zeros((len(chunk_diagonals), k, k), dtype=complex)
+            stack[:, np.arange(k), np.arange(k)] = chunk_diagonals[:, idx]
+            stack += h_block
+            evals, evecs, block_residual, block_norm = _decompose(stack)
+            del stack
+            squared_residual += block_residual
+            squared_norm += block_norm
+            a_rot, b_rot = _rotate(evecs, a_block, b_block)
+            del evecs
+            for j, t in enumerate(times):
+                if t != 0.0:
+                    np.maximum(norms[:, j], _block_norms(evals, a_rot, b_rot, t, hermitian), out=norms[:, j])
+        norm_chunks.append(norms)
+        residual_chunks.append(_reconstruction_residual(squared_residual, squared_norm))
+    norms, residuals = np.concatenate(norm_chunks), np.concatenate(residual_chunks)
+    if 0.0 in times:
+        norms[:, [t == 0.0 for t in times]] = operator_norm(commutator(a_full, b_full))
+    return norms, residuals
 
 
 class DecoupledDynamics:

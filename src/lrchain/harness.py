@@ -330,6 +330,7 @@ class VerifyReport:
     improvement_points: tuple
     violations: tuple
     spectral_blocks: tuple  # sizes of the blocks of H that were eigendecomposed
+    reconstruction_residual: float  # ||U diag(w) U^dag - H||_F / ||H||_F of that decomposition
 
     @property
     def ok(self) -> bool:
@@ -364,6 +365,7 @@ class VerifyReport:
                 "derivative_bound_constant": derivative_bound_constant(p),
             },
             "spectral_blocks": list(self.spectral_blocks),
+            "reconstruction_residual": self.reconstruction_residual,
             "records": [
                 {
                     "t": r.t,
@@ -472,6 +474,7 @@ def run_verify(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> V
         improvement_points=find_improvement_points(records),
         violations=violations,
         spectral_blocks=tuple(len(idx) for idx in ctx.spectral_blocks),
+        reconstruction_residual=ctx.reconstruction_residual,
     )
     if write and cfg.out is not None:
         write_report(cfg.out, report.to_csv(), report.to_json())

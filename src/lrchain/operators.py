@@ -10,6 +10,7 @@ operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -31,10 +32,15 @@ class HermiticityError(ValueError):
 
 
 def _as_matrix(a) -> np.ndarray:
+    """The square matrix of `a`, or a stack of square matrices of shape (..., n, n)."""
     m = a.matrix if isinstance(a, DenseOperator) else np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 def identity_matrix(dim: int) -> np.ndarray:
@@ -132,23 +138,38 @@ def embed_local(a: DenseOperator, target: SiteSupport, geom: ChainGeometry) -> D
     return DenseOperator(target, m)
 
 
-def operator_norm(a) -> float:
-    """Largest singular value.
+def operator_norm(a):
+    """Largest singular value; a stack of shape (..., n, n) gets an array of shape (...).
 
     A matrix that equals plus or minus its adjoint entry for entry is normal,
     so its singular values are the moduli of its eigenvalues, which
     `eigvalsh` finds faster than an SVD.  The test is exact: a matrix that is
-    Hermitian only up to rounding goes through the SVD.
+    Hermitian only up to rounding goes through the SVD.  Each member of a
+    stack takes its own route, and the batched LAPACK calls decompose every
+    member on its own, so a member's norm equals, bit for bit, the norm of
+    that matrix passed alone.
     """
     m = _as_matrix(a)
-    if m.shape[0] == 0:
-        return 0.0
-    adj = m.conj().T
-    if np.array_equal(m, adj):
-        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    if np.array_equal(m, -adj):
-        return float(np.max(np.abs(np.linalg.eigvalsh(1j * m))))
-    return float(np.linalg.norm(m, 2))
+    n = m.shape[-1]
+    stack = m.reshape(prod(m.shape[:-2]), n, n)
+    adj = _adjoint(stack)
+    hermitian = np.all(stack == adj, axis=(1, 2))
+    anti = ~hermitian
+    if anti.any():
+        anti[anti] = np.all(stack[anti] == -adj[anti], axis=(1, 2))
+    out = np.zeros(len(stack))
+    routes = (
+        (hermitian, lambda s: np.max(np.abs(np.linalg.eigvalsh(s)), axis=-1)),
+        (anti, lambda s: np.max(np.abs(np.linalg.eigvalsh(1j * s)), axis=-1)),
+        (~(hermitian | anti), lambda s: np.linalg.norm(s, 2, axis=(1, 2))),
+    )
+    for members, norms in routes:
+        # a route without members makes no call, since the LAPACK wrappers
+        # cost tens of microseconds even on an empty selection, and a route
+        # that takes every member reads the stack without copying it
+        if n and members.any():
+            out[members] = norms(stack if members.all() else stack[members])
+    return float(out[0]) if m.ndim == 2 else out.reshape(m.shape[:-2])
 
 
 def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
@@ -172,19 +193,32 @@ def commutator_norm(a: DenseOperator, b: DenseOperator, geom: ChainGeometry) -> 
 
 
 def hermitian_spectral(a, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each member of a stack (..., n, n).
 
-    The input is checked entrywise against its adjoint at `tol` and
-    symmetrized before calling the eigensolver, so tiny float asymmetry
-    cannot leak into complex eigenvalues.  Returns (eigenvalues ascending,
-    unitary of eigenvectors as columns).
+    The input is checked entrywise against its adjoint at `tol`.  A matrix
+    with a nonzero defect is symmetrized before calling the eigensolver, so
+    tiny float asymmetry cannot leak into complex eigenvalues; one that
+    equals its adjoint entry for entry goes in as it is, since
+    0.5 (M + M^dag) would reproduce it bit for bit.  Returns (eigenvalues
+    ascending, unitary of eigenvectors as columns), with the stack's leading
+    axes in front.  The batched `eigh` decomposes every member on its own,
+    so a member's result equals that of the matrix passed alone; the first
+    member over tolerance raises, with the text a lone matrix would give.
     """
     m = _as_matrix(a)
-    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if defect > tol:
-        raise HermiticityError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} > {tol:.1e}")
-    sym = 0.5 * (m + m.conj().T)
-    evals, evecs = np.linalg.eigh(sym)
+    adj = _adjoint(m)
+    if m.shape[-1]:
+        defect = np.max(np.abs(m - adj), axis=(-2, -1))
+    else:
+        defect = np.zeros(m.shape[:-2])
+    over = np.flatnonzero(defect > tol)
+    if over.size:
+        worst = float(np.ravel(defect)[over[0]])
+        raise HermiticityError(f"matrix is not Hermitian: max |M - M^dag| = {worst:.3e} > {tol:.1e}")
+    asymmetric = defect != 0
+    if np.any(asymmetric):
+        m = np.where(asymmetric[..., None, None], 0.5 * (m + adj), m)
+    evals, evecs = np.linalg.eigh(m)
     return evals, evecs
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from lrchain import disorder
+from lrchain import disorder, dynamics
 from lrchain.bounds import main_constant
 from lrchain.disorder import (
     SUBSTITUTION_NOTE,
@@ -25,7 +25,7 @@ from lrchain.disorder import (
     splitmix64,
     wilson_interval,
 )
-from lrchain.dynamics import EvolutionContext
+from lrchain.dynamics import RECONSTRUCTION_TOL, EvolutionContext, connected_components
 from lrchain.model import build_perturbed_hamiltonian
 from lrchain.operators import PAULI, DenseOperator, operator_norm
 from util import assert_json_object_errors, chain_hamiltonian_oracle, heavy_tail_cdf
@@ -246,23 +246,51 @@ class TestRealizationModel:
     @pytest.mark.parametrize("half_length", [3, 4])
     def test_sweep_hamiltonians_equal_generic_build(self, half_length, monkeypatch):
         # the sweep adds each realization's field diagonal to one exchange
-        # build; embedded sz is exactly +-1, so every entry must agree exactly
+        # build; embedded sz is exactly +-1, so every entry must agree exactly.
+        # It hands the exchange chain and the diagonals to the stacked table,
+        # which eigendecomposes each S^z sector of a chunk of realizations
+        # as one stack: every member must be the generic build on that sector.
         cfg = config(L=half_length, L_exact=half_length, n_realizations=10)
-        seen = []
+        tables, stacks = [], []
+        table = disorder.commutator_norm_table
+        spectral = dynamics.hermitian_spectral
 
-        class Recording(EvolutionContext):
-            def __init__(self, hamiltonian, geom):
-                seen.append(hamiltonian.matrix)
-                super().__init__(hamiltonian, geom)
+        def recording_table(h0, diagonals, *args):
+            diagonals = list(diagonals)
+            tables.append((h0.matrix, np.array(diagonals)))
+            return table(h0, diagonals, *args)
 
-        monkeypatch.setattr(disorder, "EvolutionContext", Recording)
+        def recording_spectral(m, *args):
+            stacks.append(np.array(m))
+            return spectral(m, *args)
+
+        monkeypatch.setattr(disorder, "commutator_norm_table", recording_table)
+        monkeypatch.setattr(dynamics, "hermitian_spectral", recording_spectral)
         monte_carlo_sweep(cfg)
-        assert len(seen) == cfg.n_realizations
-        for r, h in enumerate(seen):
+        assert len(tables) == 1
+        exchange, diagonals = tables[0]
+        assert diagonals.shape == (cfg.n_realizations, 2 ** (2 * half_length + 1))
+        generic = []
+        for r, d in enumerate(diagonals):
+            h = exchange + np.diag(d)
             _, couplings = sample_couplings(cfg, r)
             geom, phi, imp = heisenberg_sparse_field_model(cfg, couplings)
-            assert np.array_equal(h, build_perturbed_hamiltonian(phi, imp, geom).matrix), r
+            generic.append(build_perturbed_hamiltonian(phi, imp, geom).matrix)
+            assert np.array_equal(h, generic[r]), r
             assert np.array_equal(build_heisenberg_sparse_field(cfg, couplings).matrix, h), r
+        sectors = connected_components(exchange != 0)
+        assert len(sectors) == 2 * half_length + 2
+        pending = iter(stacks)
+        first = 0
+        while first < cfg.n_realizations:
+            for idx in sectors:
+                stack = next(pending)
+                assert stack.shape[1:] == (len(idx), len(idx))
+                for i, member in enumerate(stack):
+                    assert np.array_equal(member, generic[first + i][np.ix_(idx, idx)]), (first + i, idx)
+            first += len(stack)
+        assert first == cfg.n_realizations
+        assert next(pending, None) is None
 
 
 class TestLargeDeviationEvent:
@@ -440,6 +468,56 @@ class TestMonteCarloSweep:
         want = ctx.commutator_norms(a, b)(0.5)
         assert abs(rep.rows[0].exact_norm - want) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(seed=5, n_realizations=40),
+            dict(seed=6, n_realizations=40),  # realization 37 has ||H|| = 4.1e13
+            dict(seed=7, n_realizations=40),
+            dict(seed=5, n_realizations=6, L=4, L_exact=4),
+        ],
+    )
+    def test_exact_norms_equal_evolution_context(self, overrides):
+        # the stacked sweep runs the arithmetic of EvolutionContext on the
+        # same S^z sectors, so norms and residuals agree bit for bit
+        cfg = config(t_grid=(0.0, 0.25, 0.5), **overrides)
+        rep = monte_carlo_sweep(cfg)
+        chain = SparseFieldChain(cfg)
+        residuals = []
+        for r in range(cfg.n_realizations):
+            _, couplings = sample_couplings(cfg, r)
+            ctx = EvolutionContext(chain.hamiltonian(couplings), chain.geom)
+            residuals.append(ctx.reconstruction_residual)
+            norm_at = ctx.commutator_norms(*chain.edge_observables)
+            for j, t in enumerate(cfg.t_grid):
+                row = rep.rows[r * len(cfg.t_grid) + j]
+                assert (row.realization, row.t) == (r, t)
+                assert row.exact_norm == norm_at(t), (r, t)
+        assert rep.max_reconstruction_residual == max(residuals)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    def test_chunk_boundaries(self, per_chunk, monkeypatch):
+        # 7 realizations leave a short last chunk at 2 and 3 per chunk;
+        # the chunking may change no byte of the report
+        cfg = config(n_realizations=7, t_grid=(0.25, 0.5))
+        want = monte_carlo_sweep(cfg)
+        largest = max(len(idx) for idx in connected_components(SparseFieldChain(cfg).exchange != 0))
+        sizes = []
+        spectral = dynamics.hermitian_spectral
+
+        def recording_spectral(m, *args):
+            sizes.append(len(m))
+            return spectral(m, *args)
+
+        monkeypatch.setattr(dynamics, "_STACK_CHUNK_BYTES", per_chunk * 16 * largest * largest)
+        monkeypatch.setattr(dynamics, "hermitian_spectral", recording_spectral)
+        got = monte_carlo_sweep(cfg)
+        chunks = [min(per_chunk, 7 - start) for start in range(0, 7, per_chunk)]
+        sectors = 2 * cfg.L + 2
+        assert sizes == [size for size in chunks for _ in range(sectors)]
+        assert got.to_csv() == want.to_csv()
+        assert got.to_json() == want.to_json()
+
     def test_large_chain_skips_exact_dynamics(self, monkeypatch):
         # one dense L=6 chain matrix would take 1 GB: nothing may build it
         def refuse(*args, **kwargs):
@@ -466,6 +544,13 @@ class TestMonteCarloSweep:
         lo, hi = rep.wilson_95()
         assert doc["wilson_95"] == [lo, hi]
         json.loads(rep.to_json())  # emitted text is valid JSON
+        # the largest residual over the diagonalized realizations; none
+        # are diagonalized beyond L_exact, and the CSV has no residual column
+        assert doc["max_reconstruction_residual"] == rep.max_reconstruction_residual
+        assert 0.0 <= doc["max_reconstruction_residual"] <= RECONSTRUCTION_TOL
+        skipped = monte_carlo_sweep(dataclasses.replace(cfg, L_exact=0))
+        assert skipped.to_json_doc()["max_reconstruction_residual"] is None
+        assert "residual" not in csv_text
 
     def test_summary_documents_substitution(self):
         cfg = config(L=3, n_realizations=2)

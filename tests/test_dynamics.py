@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from lrchain.disorder import heisenberg_bond
+from lrchain import dynamics
 from lrchain.dynamics import (
     FD_PHASE_STEP,
+    RECONSTRUCTION_TOL,
     DecoupledDynamics,
     EvolutionContext,
+    commutator_norm_table,
     connected_components,
 )
 from lrchain.geometry import ChainGeometry, SiteSupport, SupportError
@@ -221,6 +224,124 @@ class TestEvolutionContext:
         bridge[blocks[1][0], blocks[2][0]] = 1e-6
         with pytest.raises(HermiticityError):
             EvolutionContext(DenseOperator(geom.full_support, bridge), geom)
+
+
+def exchange_and_fields(rng, n_fields, half_length=2):
+    """The Heisenberg chain without fields, and random real field diagonals of shape (n_fields, dim)."""
+    geom = ChainGeometry(half_length, 2)
+    phi = NNInteraction(geom, uniform_bond=heisenberg_bond(1.0))
+    h0 = build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom)
+    sz = [embed_local(DenseOperator.single_site(x, PAULI["sz"]), geom.full_support, geom).matrix.diagonal().real
+          for x in geom.full_support.sites()]
+    strengths = rng.uniform(0.5, 3.0, size=(n_fields, len(sz)))
+    return geom, h0, strengths @ np.array(sz)
+
+
+class TestCommutatorNormTable:
+    TIMES = (0.0, -0.7, 0.3, 1.9)
+
+    def test_matches_evolution_context(self, rng):
+        # diagonal pairs keep the S^z sectors as groups: every entry equals
+        # EvolutionContext's bit for bit, on the eigvalsh route (Hermitian)
+        # and the SVD route (complex diagonals).  Pairs that join sectors
+        # are decomposed whole and agree to the dense-ED floor.
+        geom, h0, fields = exchange_and_fields(rng, 5)
+        eps, dim = np.finfo(float).eps, geom.total_dim
+        cases = (
+            (DenseOperator.single_site(-2, PAULI["sz"]), DenseOperator.single_site(2, PAULI["sz"]), True),
+            (DenseOperator.single_site(-2, np.diag(random_complex(rng, 2)[0])),
+             DenseOperator(SiteSupport(1, 2), np.diag(random_complex(rng, 4)[0])), True),
+            (DenseOperator.single_site(-2, PAULI["sx"]), DenseOperator.single_site(2, PAULI["sx"]), False),
+            (DenseOperator(SiteSupport(-2, -1), random_complex(rng, 4)),
+             DenseOperator.single_site(2, random_hermitian(rng, 2)), False),
+        )
+        for a, b, exact in cases:
+            norms, residuals = commutator_norm_table(h0, fields, a, b, geom, self.TIMES)
+            assert norms.shape == (len(fields), len(self.TIMES)) and residuals.shape == (len(fields),)
+            scale = operator_norm(a) * operator_norm(b)
+            for r, d in enumerate(fields):
+                h = DenseOperator(geom.full_support, h0.matrix + np.diag(d))
+                ctx = EvolutionContext(h, geom)
+                norm_at = ctx.commutator_norms(a, b)
+                want = [norm_at(t) for t in self.TIMES]
+                assert norms[r, 0] == want[0]
+                if exact:
+                    assert norms[r].tolist() == want, r
+                    assert residuals[r] == ctx.reconstruction_residual, r
+                else:
+                    floor = 4 * eps * dim * (operator_norm(h) * np.abs(self.TIMES) + 1.0) * scale
+                    assert np.all(np.abs(norms[r] - want) <= floor + 1e-9 * np.abs(want)), r
+                    assert 0.0 <= residuals[r] <= RECONSTRUCTION_TOL
+
+    def test_no_hamiltonians(self, rng):
+        geom, h0, _ = exchange_and_fields(rng, 0)
+        a = DenseOperator.single_site(-2, PAULI["sz"])
+        norms, residuals = commutator_norm_table(h0, np.zeros((0, geom.total_dim)), a, a, geom, self.TIMES)
+        assert norms.shape == (0, len(self.TIMES)) and residuals.shape == (0,)
+
+    def test_reads_diagonals_one_chunk_at_a_time(self, rng, monkeypatch):
+        # a generator is read one chunk at a time, so the diagonals of a long
+        # sweep are never all in memory; 7 at 3 per chunk leaves a short last
+        # chunk, and the table equals the one from the array
+        geom, h0, fields = exchange_and_fields(rng, 7)
+        a = DenseOperator.single_site(-2, PAULI["sz"])
+        b = DenseOperator.single_site(2, PAULI["sz"])
+        want = commutator_norm_table(h0, fields, a, b, geom, self.TIMES)
+        sectors = connected_components(h0.matrix != 0)
+        largest = max(len(idx) for idx in sectors)
+        monkeypatch.setattr(dynamics, "_STACK_CHUNK_BYTES", 3 * 16 * largest * largest)
+        read, read_at_stack = [0], []
+        spectral = dynamics.hermitian_spectral
+
+        def recording_spectral(m, *args):
+            read_at_stack.append(read[0])
+            return spectral(m, *args)
+
+        def generated():
+            for d in fields:
+                read[0] += 1
+                yield d
+
+        monkeypatch.setattr(dynamics, "hermitian_spectral", recording_spectral)
+        got = commutator_norm_table(h0, generated(), a, b, geom, self.TIMES)
+        assert read_at_stack == [n for n in (3, 6, 7) for _ in sectors]
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+    def test_rejects_bad_input(self, rng):
+        geom, h0, fields = exchange_and_fields(rng, 2)
+        a = DenseOperator.single_site(-2, PAULI["sz"])
+        with pytest.raises(ValueError, match="diagonals of shape"):
+            commutator_norm_table(h0, fields[:, :-1], a, a, geom, self.TIMES)
+        partial = DenseOperator(SiteSupport(0, 1), random_hermitian(rng, 4))
+        with pytest.raises(SupportError):
+            commutator_norm_table(partial, fields, a, a, geom, self.TIMES)
+
+    def test_member_faults_raise_like_evolution_context(self, rng, monkeypatch):
+        # one bad member among several: the stack raises the class and the
+        # text EvolutionContext raises for that Hamiltonian alone
+        geom, h0, fields = exchange_and_fields(rng, 4)
+        a = DenseOperator.single_site(-2, PAULI["sz"])
+        b = DenseOperator.single_site(2, PAULI["sz"])
+        skewed = fields.astype(complex)
+        skewed[2, 5] += 1e-6j  # a complex diagonal entry is not Hermitian
+        with pytest.raises(HermiticityError) as want:
+            EvolutionContext(DenseOperator(geom.full_support, h0.matrix + np.diag(skewed[2])), geom)
+        with pytest.raises(HermiticityError) as got:
+            commutator_norm_table(h0, skewed, a, b, geom, self.TIMES)
+        assert str(got.value) == str(want.value)
+        # a tolerance between the largest residual and the next fails one member
+        residuals = [
+            EvolutionContext(DenseOperator(geom.full_support, h0.matrix + np.diag(d)), geom).reconstruction_residual
+            for d in fields
+        ]
+        worst = int(np.argmax(residuals))
+        below = max(x for x in residuals if x < residuals[worst])
+        monkeypatch.setattr(dynamics, "RECONSTRUCTION_TOL", 0.5 * (residuals[worst] + below))
+        with pytest.raises(ValueError, match="reconstruction residual") as want:
+            EvolutionContext(DenseOperator(geom.full_support, h0.matrix + np.diag(fields[worst])), geom)
+        with pytest.raises(ValueError, match="reconstruction residual") as got:
+            commutator_norm_table(h0, fields, a, b, geom, self.TIMES)
+        assert str(got.value) == str(want.value)
 
 
 def decoupling_instance(rng, coupling, half_length=3, bond_norm=1.0):

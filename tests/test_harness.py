@@ -8,6 +8,7 @@ import pytest
 from lrchain.bounds import BoundOutcome, LRParameters, apriori_bound
 from lrchain.cli import _cmd_constants, build_parser
 from lrchain.cli import main as cli_main
+from lrchain.dynamics import RECONSTRUCTION_TOL, EvolutionContext
 from lrchain.geometry import ChainGeometry, SiteSupport
 from lrchain.harness import (
     CONSTANTS_CSV_HEADER,
@@ -27,7 +28,7 @@ from lrchain.harness import (
     run_verify,
     write_report,
 )
-from lrchain.model import ImpuritySpec, NNInteraction
+from lrchain.model import ImpuritySpec, NNInteraction, build_perturbed_hamiltonian
 from lrchain.operators import PAULI
 from util import assert_json_object_errors, random_hermitian
 
@@ -311,6 +312,10 @@ class TestRunVerify:
         assert len(doc["records"]) == 1
         assert doc["records"][0]["bounds"]["apriori"]["applicable"] is True
         assert sum(doc["spectral_blocks"]) == cfg.geom.total_dim
+        # the residual of the one eigendecomposition the sweep made
+        ctx = EvolutionContext(build_perturbed_hamiltonian(cfg.phi, cfg.imp, cfg.geom), cfg.geom)
+        assert doc["reconstruction_residual"] == report.reconstruction_residual == ctx.reconstruction_residual
+        assert 0.0 <= doc["reconstruction_residual"] <= RECONSTRUCTION_TOL
 
     def test_json_doc_reasons_surface(self, rng):
         # too-close observables make the improved bound inapplicable, with the reason recorded
@@ -367,6 +372,7 @@ class TestImprovementPoints:
             improvement_points=(),
             violations=tuple(msgs),
             spectral_blocks=clean.spectral_blocks,
+            reconstruction_residual=clean.reconstruction_residual,
         )
         assert not report.ok
         dump = report.diagnostic_dump()

@@ -165,6 +165,28 @@ class TestOperatorNorm:
             a, b = random_complex(rng, 6), random_complex(rng, 6)
             assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-10
 
+    def test_stack_equals_single_calls(self, rng):
+        # every member takes its own route (eigvalsh, eigvalsh of i M, SVD)
+        # and gets the bits the matrix alone would get
+        dim = 7
+        h = random_hermitian(rng, dim)
+        near = h.copy()
+        near[0, -1] = np.nextafter(near[0, -1].real, np.inf) + 1j * near[0, -1].imag
+        members = [h, 1j * h, random_complex(rng, dim), near, random_hermitian(rng, dim), np.zeros((dim, dim))]
+        stack = np.array(members)
+        got = operator_norm(stack)
+        assert got.shape == (len(members),)
+        assert [float(x) for x in got] == [operator_norm(m) for m in members]
+        grid = operator_norm(stack.reshape(2, 3, dim, dim))
+        assert grid.shape == (2, 3)
+        assert np.array_equal(grid.ravel(), got)
+        # one route for the whole stack, the SVD included
+        for same in ([h, 2 * h], [1j * h, -1j * h], [members[2], near]):
+            assert [float(x) for x in operator_norm(np.array(same))] == [operator_norm(m) for m in same]
+        assert operator_norm(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="square"):
+            operator_norm(np.zeros((2, 3, 4)))
+
 
 class TestCommutator:
     def test_pauli_commutator(self):
@@ -225,6 +247,48 @@ class TestHermitianSpectral:
         big_defect[0, 1] = 1e-10
         with pytest.raises(HermiticityError):
             hermitian_spectral(h + big_defect)
+
+    def test_exactly_hermitian_input_skips_symmetrization(self, rng):
+        # 0.5 (M + M^dag) == M bit for bit when M equals its adjoint, so
+        # passing M as it is moves no output; a 1e-13 asymmetry in the lower
+        # triangle, which eigh reads, is still averaged away
+        h = random_hermitian(rng, 9)
+        evals, evecs = hermitian_spectral(h)
+        sym_evals, sym_evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+        assert np.array_equal(evals, sym_evals) and np.array_equal(evecs, sym_evecs)
+        assert np.array_equal(evals, np.linalg.eigh(h)[0])
+        skewed = h.copy()
+        skewed[5, 2] += 1e-13
+        evals, evecs = hermitian_spectral(skewed)
+        sym_evals, sym_evecs = np.linalg.eigh(0.5 * (skewed + skewed.conj().T))
+        assert np.array_equal(evals, sym_evals) and np.array_equal(evecs, sym_evecs)
+        assert not np.array_equal(evals, np.linalg.eigh(skewed)[0])
+
+    def test_stack_equals_single_calls(self, rng):
+        # exactly Hermitian and slightly skewed members side by side
+        members = [random_hermitian(rng, 6) for _ in range(4)]
+        members[2] = members[2].copy()
+        members[2][4, 1] += 1e-13
+        evals, evecs = hermitian_spectral(np.array(members))
+        assert evals.shape == (4, 6) and evecs.shape == (4, 6, 6)
+        for i, m in enumerate(members):
+            want_evals, want_evecs = hermitian_spectral(m)
+            assert np.array_equal(evals[i], want_evals) and np.array_equal(evecs[i], want_evecs), i
+        grid_evals, grid_evecs = hermitian_spectral(np.array(members).reshape(2, 2, 6, 6))
+        assert np.array_equal(grid_evals.reshape(4, 6), evals)
+        assert np.array_equal(grid_evecs.reshape(4, 6, 6), evecs)
+
+    def test_stack_rejects_like_single_call(self, rng):
+        # the first member over tolerance raises with its own text
+        members = [random_hermitian(rng, 5) for _ in range(4)]
+        for i, size in ((1, 3e-10), (3, 1e-6)):
+            members[i] = members[i].copy()
+            members[i][0, 2] += size
+        with pytest.raises(HermiticityError) as want:
+            hermitian_spectral(members[1])
+        with pytest.raises(HermiticityError) as got:
+            hermitian_spectral(np.array(members))
+        assert str(got.value) == str(want.value)
 
 
 class TestConditionalExpectation:
