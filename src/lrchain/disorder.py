@@ -183,9 +183,9 @@ class SparseFieldChain:
 
     Holds the embedded exchange Hamiltonian, the diagonal of sz embedded at
     each field site, and the full-chain sz observables at the two chain
-    edges.  `hamiltonian(couplings)` is exchange + diag(sum_x lam_x sz_x),
-    the sum taken in site order from zero: embedded sz is exactly +-1, so
-    the matrix equals `build_perturbed_hamiltonian` of
+    edges.  `field(couplings)` is the diagonal sum_x lam_x sz_x, summed in
+    site order from zero: embedded sz is exactly +-1, so exchange +
+    diag(field) equals `build_perturbed_hamiltonian` of
     `heisenberg_sparse_field_model` entry for entry.  Building it costs
     dense chain matrices, so only chains within exact reach should build it.
     """
@@ -194,7 +194,7 @@ class SparseFieldChain:
         self.cfg = cfg
         self.geom = ChainGeometry(cfg.L, 2)
         phi = NNInteraction(self.geom, uniform_bond=heisenberg_bond(cfg.J))
-        self.exchange = build_nn_hamiltonian(phi, self.geom).matrix
+        self.exchange = build_nn_hamiltonian(phi, self.geom)
         self.field_diagonals = {x: self._sz(x).matrix.diagonal().real.copy() for x in cfg.field_sites()}
         self.edge_observables = (self._sz(-cfg.L), self._sz(cfg.L))
 
@@ -207,15 +207,6 @@ class SparseFieldChain:
         for x, lam in _field_strengths(self.cfg, couplings).items():
             field += lam * self.field_diagonals[x]
         return field
-
-    def hamiltonian(self, couplings) -> DenseOperator:
-        """Exchange plus this realization's field diagonal."""
-        return DenseOperator(self.geom.full_support, self.exchange + np.diag(self.field(couplings)))
-
-
-def build_heisenberg_sparse_field(cfg: DisorderConfig, couplings) -> DenseOperator:
-    """Full Hamiltonian of one realization: exchange bonds plus z-fields."""
-    return SparseFieldChain(cfg).hamiltonian(couplings)
 
 
 def lr_parameters(cfg: DisorderConfig) -> LRParameters:
@@ -417,8 +408,7 @@ def monte_carlo_sweep(cfg: DisorderConfig, threads: int = 1) -> SweepReport:
     if cfg.L <= cfg.L_exact:
         chain = SparseFieldChain(cfg)
         fields = (chain.field(couplings) for _, couplings in draws)
-        exchange = DenseOperator(chain.geom.full_support, chain.exchange)
-        exact, residuals = commutator_norm_table(exchange, fields, *chain.edge_observables, chain.geom, cfg.t_grid)
+        exact, residuals = commutator_norm_table(chain.exchange, fields, *chain.edge_observables, chain.geom, cfg.t_grid)
     rows = []
     event_count = 0
     for r, (child, couplings) in enumerate(draws):

@@ -70,12 +70,6 @@ def _check_full_chain_hamiltonian(hamiltonian: DenseOperator, geom: ChainGeometr
     hamiltonian.validate_dim(geom)
 
 
-def _embedded_pair(a: DenseOperator, b: DenseOperator, geom: ChainGeometry) -> tuple:
-    """(A, B) embedded on the full chain, and whether both local matrices equal their adjoints exactly."""
-    hermitian = all(np.array_equal(m, m.conj().T) for m in (a.matrix, b.matrix))
-    return embed_local(a, geom.full_support, geom), embed_local(b, geom.full_support, geom), hermitian
-
-
 def _decompose(blocks: np.ndarray) -> tuple:
     """Eigendecomposition of a Hermitian block or of a stack of them (..., k, k).
 
@@ -108,15 +102,15 @@ def _reconstruction_residual(squared_residual, squared_norm) -> np.ndarray:
 
 
 def _rotate(evecs: np.ndarray, *blocks: np.ndarray) -> tuple:
-    """V^dag M V for each block M, with V one eigenvector matrix or a stack of them."""
+    """V^dag M V for each block M, with V a stack of eigenvector matrices."""
     evecs_dag = evecs.conj().swapaxes(-1, -2)
     return tuple(evecs_dag @ m @ evecs for m in blocks)
 
 
 def _block_norms(eigenvalues: np.ndarray, a_rot: np.ndarray, b_rot: np.ndarray, t: float, hermitian: bool):
-    """|| [X, B'] || with X = p A' p^dag and p = exp(itw), for one block or a stack of them.
+    """|| [X, B'] || with X = p A' p^dag and p = exp(itw), for a stack of blocks.
 
-    The commutator is formed as `EvolutionContext.commutator_norms` describes.
+    The commutator is formed as `commutator_norm_table` describes.
     """
     phases = np.exp(1j * t * eigenvalues)
     x = a_rot * phases[..., :, None]
@@ -153,9 +147,6 @@ class EvolutionContext:
         h = hamiltonian.matrix
         n = h.shape[0]
         self.spectral_blocks = connected_components(h != 0)
-        self._block_of = np.empty(n, dtype=int)
-        for label, idx in enumerate(self.spectral_blocks):
-            self._block_of[idx] = label
         self.eigenvalues = np.empty(n)
         self.eigenvectors = np.zeros((n, n), dtype=complex)
         squared_residual = squared_norm = 0.0
@@ -193,50 +184,6 @@ class EvolutionContext:
         core *= phases[:, None] * phases.conj()[None, :]
         return DenseOperator(full.support, self.from_eigenbasis(core))
 
-    def _norm_groups(self, a: np.ndarray, b: np.ndarray) -> list:
-        """Connected components of (H != 0) | (A != 0) | (B != 0) for full-chain A and B.
-
-        When every nonzero entry of A and B joins two states of one spectral
-        block, as for any diagonal pair, these are the spectral blocks
-        themselves, in the same order; otherwise the union pattern is split
-        afresh.
-        """
-        touched = (a != 0) | (b != 0)
-        if not np.any(touched & (self._block_of[:, None] != self._block_of[None, :])):
-            return self.spectral_blocks
-        return connected_components((self.hamiltonian.matrix != 0) | touched)
-
-    def commutator_norms(self, a: DenseOperator, b: DenseOperator):
-        """The function t -> || [ exp(itH) A exp(-itH), B ] || on the full chain.
-
-        Basis states are grouped into the connected components of
-        (H != 0) | (A != 0) | (B != 0) for the embedded A and B
-        (`_norm_groups`).  H, A and B are block-diagonal over these groups,
-        hence so is the commutator, and its norm is the largest of the block
-        norms.  The norm is unitarily invariant, so each block of A and B is
-        rotated into the eigenbasis once (A', B'); each time point then
-        costs, per block, the phase pattern X = p A' p^dag with
-        p = exp(itw), the product M = X B' and one norm.  When both local
-        matrices are exactly Hermitian, [X, B'] = M - M^dag in exact
-        arithmetic, and i (M - M^dag) is Hermitian entry for entry, so
-        `operator_norm` takes `eigvalsh`; otherwise the commutator is
-        M - B' X.  At t = 0 the commutator is formed in the computational
-        basis, where disjoint supports commute exactly.
-        """
-        a_full, b_full, hermitian = _embedded_pair(a, b, self.geom)
-        rotated = []
-        for idx in self._norm_groups(a_full.matrix, b_full.matrix):
-            block = np.ix_(idx, idx)
-            a_rot, b_rot = _rotate(self.eigenvectors[block], a_full.matrix[block], b_full.matrix[block])
-            rotated.append((self.eigenvalues[idx], a_rot, b_rot))
-
-        def norm_at(t: float) -> float:
-            if t == 0.0:
-                return operator_norm(commutator(a_full, b_full))
-            return max(_block_norms(w, a_rot, b_rot, t, hermitian) for w, a_rot, b_rot in rotated)
-
-        return norm_at
-
 
 # bytes of one stack of the largest group over a chunk of Hamiltonians in
 # `commutator_norm_table`: 13 Hamiltonians at L=3, whose largest S^z sector
@@ -254,28 +201,39 @@ def commutator_norm_table(
     or from a generator; it is read one chunk at a time, so a generator
     keeps only one chunk of them in memory.  Returns the norms, of shape
     (R, len(times)), and the reconstruction residual of each H_r, as
-    `EvolutionContext.reconstruction_residual` defines it.
+    `EvolutionContext.reconstruction_residual` defines it.  For one
+    Hamiltonian H, pass H0 = H and a single all-zero diagonal and read row 0.
 
-    Every H_r has the off-diagonal zero pattern of H0, so the groups of
-    `EvolutionContext.commutator_norms`, the connected components of
-    (H0 != 0) | (A != 0) | (B != 0), are found and gathered from H0, A and B
-    once.  The Hamiltonians then run in chunks: per group, a chunk takes one
-    stacked `hermitian_spectral`, one stacked reconstruction check, one
-    stacked rotation of A and B and one stacked norm per time point, through
-    the arithmetic `EvolutionContext` applies to one H.  Where the groups
-    are the spectral blocks of H_r, as for any diagonal A and B, each norm
-    and residual equals, bit for bit, that of
-    `EvolutionContext(H_r).commutator_norms(A, B)`; otherwise a group that
-    joins several blocks is eigendecomposed whole, and the norms agree to
-    rounding.  The t = 0 column does not depend on H and is formed once in
-    the computational basis.  No dense eigenvector matrix of the chain is
-    formed.  The chunk holds as many Hamiltonians as one stack of the
-    largest group fits in `_STACK_CHUNK_BYTES`.
+    Basis states are grouped into the connected components of
+    (H0 != 0) | (A != 0) | (B != 0) for the embedded A and B.  Every H_r
+    has the off-diagonal zero pattern of H0, so H_r, A and B are
+    block-diagonal over these groups, hence so is the commutator, and its
+    norm is the largest of the block norms.  For diagonal A and B the groups
+    are the spectral blocks of H_r, such as its S^z sectors; a pair that
+    joins blocks is eigendecomposed whole over each group it joins.  The
+    norm is unitarily invariant, so each block of A and B is rotated into
+    the eigenbasis once (A', B'); each time point then costs, per block, the
+    phase pattern X = p A' p^dag with p = exp(itw), the product M = X B' and
+    one norm.  When both local matrices are exactly Hermitian,
+    [X, B'] = M - M^dag in exact arithmetic, and i (M - M^dag) is Hermitian
+    entry for entry, so `operator_norm` takes `eigvalsh`; otherwise the
+    commutator is M - B' X.  The t = 0 column does not depend on H: it is
+    formed once in the computational basis, where disjoint supports commute
+    exactly.
+
+    The groups are found and gathered from H0, A and B once.  The
+    Hamiltonians then run in chunks: per group, a chunk takes one stacked
+    `hermitian_spectral`, one stacked reconstruction check, one stacked
+    rotation of A and B and one stacked norm per time point, and each member
+    gets the bits it would get in a chunk of its own.  No dense eigenvector
+    matrix of the chain is formed.  The chunk holds as many Hamiltonians as
+    one stack of the largest group fits in `_STACK_CHUNK_BYTES`.
     """
     _check_full_chain_hamiltonian(h0, geom)
     h = h0.matrix
     times = tuple(float(t) for t in times)
-    a_full, b_full, hermitian = _embedded_pair(a, b, geom)
+    hermitian = all(np.array_equal(m, m.conj().T) for m in (a.matrix, b.matrix))
+    a_full, b_full = embed_local(a, geom.full_support, geom), embed_local(b, geom.full_support, geom)
     groups = connected_components((h != 0) | (a_full.matrix != 0) | (b_full.matrix != 0))
     gathered = []
     for idx in groups:
@@ -371,8 +329,9 @@ class DecoupledDynamics:
         Exactly zero in exact arithmetic whenever A is supported strictly left
         and B strictly right of the decoupling site (or vice versa).
         """
-        norm_at = self.decoupled.commutator_norms(a, b)
-        return max(norm_at(t) for t in times)
+        zero = np.zeros(self.geom.total_dim)
+        norms, _ = commutator_norm_table(self.decoupled.hamiltonian, [zero], a, b, self.geom, times)
+        return float(norms.max())
 
     def _check_interpolant_supports(self, a: DenseOperator, b: DenseOperator) -> None:
         if not (a.support.hi + 1 < self.site):

@@ -38,7 +38,7 @@ from lrchain.disorder import (
     monte_carlo_sweep,
     sample_heavy_tail,
 )
-from lrchain.dynamics import DecoupledDynamics, EvolutionContext
+from lrchain.dynamics import DecoupledDynamics, EvolutionContext, commutator_norm_table
 from lrchain.geometry import ChainGeometry, SiteSupport, site_distance
 from lrchain.harness import ExperimentConfig, ObservableSpec, run_verify
 from lrchain.model import (
@@ -215,9 +215,9 @@ def test_criterion_2_exact_below_bounds():
             params = LRParameters.compute(MU, phi.strength)
             sup_a = SiteSupport.single(-half_length)
             sup_b = SiteSupport.single(half_length)
-            norm_at = dd.full.commutator_norms(a, b)
-            for t in SUITE_T:
-                exact = norm_at(t)
+            zero = np.zeros(geom.total_dim)
+            exact_row = commutator_norm_table(dd.full.hamiltonian, [zero], a, b, geom, SUITE_T)[0][0]
+            for t, exact in zip(SUITE_T, exact_row):
                 ap = apriori_bound(params, t, sup_a.distance(sup_b))
                 apriori_checked += 1
                 if exact > ap + tol:

@@ -13,7 +13,6 @@ from lrchain.disorder import (
     SWEEP_CSV_HEADER,
     DisorderConfig,
     SparseFieldChain,
-    build_heisenberg_sparse_field,
     default_epsilon,
     heisenberg_bond,
     heisenberg_sparse_field_model,
@@ -25,10 +24,26 @@ from lrchain.disorder import (
     splitmix64,
     wilson_interval,
 )
-from lrchain.dynamics import RECONSTRUCTION_TOL, EvolutionContext, connected_components
+from lrchain.dynamics import RECONSTRUCTION_TOL, EvolutionContext, commutator_norm_table, connected_components
 from lrchain.model import build_perturbed_hamiltonian
-from lrchain.operators import PAULI, DenseOperator, operator_norm
+from lrchain.operators import PAULI, DenseOperator, commutator, embed_local, operator_norm
 from util import assert_json_object_errors, chain_hamiltonian_oracle, heavy_tail_cdf
+
+
+def sz_edge_pair(cfg):
+    return DenseOperator.single_site(-cfg.L, PAULI["sz"]), DenseOperator.single_site(cfg.L, PAULI["sz"])
+
+
+def dense_commutator_norms(h, a, b, geom, times) -> list:
+    """|| [ exp(itH) A exp(-itH), B ] || at each time, by evolving A in the computational basis."""
+    ctx = EvolutionContext(h, geom)
+    b_full = embed_local(b, geom.full_support, geom)
+    return [operator_norm(commutator(ctx.evolve(a, t), b_full)) for t in times]
+
+
+def dense_floor(h, geom, t):
+    """The dense-ED floor 4 eps dim (||H|| |t| + 1) for unit-norm A and B."""
+    return 4 * np.finfo(float).eps * geom.total_dim * (operator_norm(h) * abs(t) + 1.0)
 
 
 def config(**overrides):
@@ -204,11 +219,12 @@ class TestRealizationModel:
     def test_hamiltonian_matches_embedding_oracle(self):
         cfg = config(L=1, mu=1.0, J=1.5)  # field sites: {0}
         couplings = {x: 2.0 for x in cfg.event_sites()}
-        h = build_heisenberg_sparse_field(cfg, couplings)
+        chain = SparseFieldChain(cfg)
+        h = chain.exchange.matrix + np.diag(chain.field(couplings))
         bonds = {-1: heisenberg_bond(1.5), 0: heisenberg_bond(1.5)}
         fields = {0: 2.0 * PAULI["sz"]}
         want = chain_hamiltonian_oracle(bonds, fields, 1, 2)
-        assert np.allclose(h.matrix, want)
+        assert np.allclose(h, want)
 
     def test_fields_only_on_sublattice(self):
         cfg = config(L=3)
@@ -240,7 +256,7 @@ class TestRealizationModel:
             with pytest.raises(ValueError, match=pattern) as want:
                 heisenberg_sparse_field_model(cfg, bad)
             with pytest.raises(ValueError, match=pattern) as got:
-                chain.hamiltonian(bad)
+                chain.field(bad)
             assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("half_length", [3, 4])
@@ -270,6 +286,8 @@ class TestRealizationModel:
         assert len(tables) == 1
         exchange, diagonals = tables[0]
         assert diagonals.shape == (cfg.n_realizations, 2 ** (2 * half_length + 1))
+        chain = SparseFieldChain(cfg)
+        assert np.array_equal(exchange, chain.exchange.matrix)
         generic = []
         for r, d in enumerate(diagonals):
             h = exchange + np.diag(d)
@@ -277,7 +295,7 @@ class TestRealizationModel:
             geom, phi, imp = heisenberg_sparse_field_model(cfg, couplings)
             generic.append(build_perturbed_hamiltonian(phi, imp, geom).matrix)
             assert np.array_equal(h, generic[r]), r
-            assert np.array_equal(build_heisenberg_sparse_field(cfg, couplings).matrix, h), r
+            assert np.array_equal(d, chain.field(couplings)), r
         sectors = connected_components(exchange != 0)
         assert len(sectors) == 2 * half_length + 2
         pending = iter(stacks)
@@ -462,11 +480,10 @@ class TestMonteCarloSweep:
         rep = monte_carlo_sweep(cfg)
         _, couplings = sample_couplings(cfg, 0)
         geom, phi, imp = heisenberg_sparse_field_model(cfg, couplings)
-        ctx = EvolutionContext(build_perturbed_hamiltonian(phi, imp, geom), geom)
-        a = DenseOperator.single_site(-3, PAULI["sz"])
-        b = DenseOperator.single_site(3, PAULI["sz"])
-        want = ctx.commutator_norms(a, b)(0.5)
-        assert abs(rep.rows[0].exact_norm - want) <= 1e-12
+        h = build_perturbed_hamiltonian(phi, imp, geom)
+        a, b = sz_edge_pair(cfg)
+        (want,) = dense_commutator_norms(h, a, b, geom, (0.5,))
+        assert abs(rep.rows[0].exact_norm - want) <= dense_floor(h, geom, 0.5) + 1e-9 * want
 
     @pytest.mark.parametrize(
         "overrides",
@@ -478,21 +495,26 @@ class TestMonteCarloSweep:
         ],
     )
     def test_exact_norms_equal_evolution_context(self, overrides):
-        # the stacked sweep runs the arithmetic of EvolutionContext on the
-        # same S^z sectors, so norms and residuals agree bit for bit
+        # the stacked sweep gives each realization the bits of a table of
+        # its generic-built Hamiltonian alone, a stack of one, and every
+        # norm agrees with evolving A through EvolutionContext to the
+        # dense-ED floor 4 eps dim (||H|| |t| + 1) ||A|| ||B|| + 1e-9 relative
         cfg = config(t_grid=(0.0, 0.25, 0.5), **overrides)
         rep = monte_carlo_sweep(cfg)
-        chain = SparseFieldChain(cfg)
+        a, b = sz_edge_pair(cfg)
         residuals = []
         for r in range(cfg.n_realizations):
             _, couplings = sample_couplings(cfg, r)
-            ctx = EvolutionContext(chain.hamiltonian(couplings), chain.geom)
-            residuals.append(ctx.reconstruction_residual)
-            norm_at = ctx.commutator_norms(*chain.edge_observables)
-            for j, t in enumerate(cfg.t_grid):
+            geom, phi, imp = heisenberg_sparse_field_model(cfg, couplings)
+            h = build_perturbed_hamiltonian(phi, imp, geom)
+            alone, residual = commutator_norm_table(h, [np.zeros(geom.total_dim)], a, b, geom, cfg.t_grid)
+            residuals.append(residual[0])
+            dense = dense_commutator_norms(h, a, b, geom, cfg.t_grid)
+            for j, (t, want) in enumerate(zip(cfg.t_grid, dense)):
                 row = rep.rows[r * len(cfg.t_grid) + j]
                 assert (row.realization, row.t) == (r, t)
-                assert row.exact_norm == norm_at(t), (r, t)
+                assert row.exact_norm == alone[0, j], (r, t)
+                assert abs(row.exact_norm - want) <= dense_floor(h, geom, t) + 1e-9 * want, (r, t)
         assert rep.max_reconstruction_residual == max(residuals)
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
@@ -501,7 +523,7 @@ class TestMonteCarloSweep:
         # the chunking may change no byte of the report
         cfg = config(n_realizations=7, t_grid=(0.25, 0.5))
         want = monte_carlo_sweep(cfg)
-        largest = max(len(idx) for idx in connected_components(SparseFieldChain(cfg).exchange != 0))
+        largest = max(len(idx) for idx in connected_components(SparseFieldChain(cfg).exchange.matrix != 0))
         sizes = []
         spectral = dynamics.hermitian_spectral
 

@@ -123,18 +123,17 @@ class TestEvolutionContext:
         ev = ctx.evolve(a, 0.8)
         bf = embed_local(b, geom.full_support, geom)
         want = operator_norm(commutator(ev, bf))
-        assert abs(ctx.commutator_norms(a, b)(0.8) - want) <= 1e-13
+        got = commutator_norm_table(ctx.hamiltonian, [np.zeros(geom.total_dim)], a, b, geom, (0.8,))[0][0, 0]
+        assert abs(got - want) <= 1e-13
 
-    def test_commutator_norms_match_reference_route(self, rng, monkeypatch):
-        # eigenbasis-resident norms against evolving A and commuting with the
-        # embedded B in the computational basis; Hermitian pairs take the
-        # eigvalsh route, the others the SVD.  Random bonds make H one block.
-        # On the Heisenberg chain with sz fields, diagonal pairs keep one
-        # block per S^z sector and the sx pair merges the sectors.  The
-        # tolerance is the dense-ED floor 4 eps dim (||H|| |t| + 1) ||A|| ||B||
-        # plus 1e-9 relative.  Where A and B stay inside H's blocks the norms
-        # reuse `spectral_blocks`; they must equal, bit for bit, the norms
-        # grouped by the components of the union pattern.
+    def test_commutator_norms_match_reference_route(self, rng):
+        # eigenbasis-resident norms of `commutator_norm_table` against
+        # evolving A and commuting with the embedded B in the computational
+        # basis; Hermitian pairs take the eigvalsh route, the others the SVD.
+        # Random bonds make H one block.  On the Heisenberg chain with sz
+        # fields, diagonal pairs keep one group per S^z sector and the sx
+        # pair merges the sectors.  The tolerance is the dense-ED floor
+        # 4 eps dim (||H|| |t| + 1) ||A|| ||B|| plus 1e-9 relative.
         geom, phi = random_chain(rng)
         random_h = build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom)
         heis_geom, heis_h = heisenberg_field_chain(rng)
@@ -152,6 +151,7 @@ class TestEvolutionContext:
             (heis_h, DenseOperator.single_site(-2, PAULI["sx"]),
              DenseOperator.single_site(2, PAULI["sx"]), 1),
         )
+        times = (0.0, -1.7, -0.3, 0.05, 0.8, 2.5)
         dim, eps = geom.total_dim, np.finfo(float).eps
         for h, a, b, n_blocks in cases:
             ctx = EvolutionContext(h, geom)
@@ -159,23 +159,16 @@ class TestEvolutionContext:
             b_full = embed_local(b, geom.full_support, geom)
             a_full = embed_local(a, geom.full_support, geom)
             pattern = (h.matrix != 0) | (a_full.matrix != 0) | (b_full.matrix != 0)
-            union = connected_components(pattern)
-            assert len(union) == n_blocks
-            groups = ctx._norm_groups(a_full.matrix, b_full.matrix)
-            assert [g.tolist() for g in groups] == [g.tolist() for g in union]
-            assert (groups is ctx.spectral_blocks) == (n_blocks == len(ctx.spectral_blocks))
-            norm_at = ctx.commutator_norms(a, b)
-            with monkeypatch.context() as m:
-                m.setattr(ctx, "_norm_groups", lambda *_: connected_components(pattern))
-                union_at = ctx.commutator_norms(a, b)
+            assert len(connected_components(pattern)) == n_blocks
+            norms, residuals = commutator_norm_table(h, [np.zeros(dim)], a, b, geom, times)
+            assert 0.0 <= residuals[0] <= RECONSTRUCTION_TOL
             scale = operator_norm(a) * operator_norm(b)
-            assert norm_at(0.0) == 0.0
-            for t in (-1.7, -0.3, 0.05, 0.8, 2.5):
+            assert norms[0, 0] == 0.0
+            for t, got in zip(times[1:], norms[0, 1:]):
                 want = operator_norm(commutator(ctx.evolve(a, t), b_full))
                 floor = 4 * eps * dim * (h_norm * abs(t) + 1.0) * scale
-                assert abs(norm_at(t) - want) <= floor + 1e-9 * want, (t, norm_at(t), want)
-                assert norm_at(t) == union_at(t), t
-            assert norm_at(2.5) > 1e-3
+                assert abs(got - want) <= floor + 1e-9 * want, (t, got, want)
+            assert norms[0, -1] > 1e-3
 
     def test_connected_components(self):
         # an entry joins its row and column whichever triangle it sits in;
@@ -241,10 +234,13 @@ class TestCommutatorNormTable:
     TIMES = (0.0, -0.7, 0.3, 1.9)
 
     def test_matches_evolution_context(self, rng):
-        # diagonal pairs keep the S^z sectors as groups: every entry equals
-        # EvolutionContext's bit for bit, on the eigvalsh route (Hermitian)
-        # and the SVD route (complex diagonals).  Pairs that join sectors
-        # are decomposed whole and agree to the dense-ED floor.
+        # row r of a stacked table equals, bit for bit, the table of H_r
+        # alone (a stack of one), on the eigvalsh route (Hermitian pairs) and
+        # the SVD route (complex ones), for diagonal pairs that keep the S^z
+        # sectors and for pairs that join them.  Every norm agrees with
+        # evolving A through EvolutionContext and commuting with B to the
+        # dense-ED floor; where the groups are the sectors, each residual is
+        # the one of that context.
         geom, h0, fields = exchange_and_fields(rng, 5)
         eps, dim = np.finfo(float).eps, geom.total_dim
         cases = (
@@ -255,23 +251,24 @@ class TestCommutatorNormTable:
             (DenseOperator(SiteSupport(-2, -1), random_complex(rng, 4)),
              DenseOperator.single_site(2, random_hermitian(rng, 2)), False),
         )
-        for a, b, exact in cases:
+        for a, b, keeps_sectors in cases:
             norms, residuals = commutator_norm_table(h0, fields, a, b, geom, self.TIMES)
             assert norms.shape == (len(fields), len(self.TIMES)) and residuals.shape == (len(fields),)
             scale = operator_norm(a) * operator_norm(b)
+            b_full = embed_local(b, geom.full_support, geom)
             for r, d in enumerate(fields):
                 h = DenseOperator(geom.full_support, h0.matrix + np.diag(d))
+                alone, alone_residual = commutator_norm_table(h, [np.zeros(dim)], a, b, geom, self.TIMES)
+                assert norms[r].tolist() == alone[0].tolist(), r
+                assert residuals[r] == alone_residual[0], r
                 ctx = EvolutionContext(h, geom)
-                norm_at = ctx.commutator_norms(a, b)
-                want = [norm_at(t) for t in self.TIMES]
-                assert norms[r, 0] == want[0]
-                if exact:
-                    assert norms[r].tolist() == want, r
+                if keeps_sectors:
                     assert residuals[r] == ctx.reconstruction_residual, r
                 else:
-                    floor = 4 * eps * dim * (operator_norm(h) * np.abs(self.TIMES) + 1.0) * scale
-                    assert np.all(np.abs(norms[r] - want) <= floor + 1e-9 * np.abs(want)), r
-                    assert 0.0 <= residuals[r] <= RECONSTRUCTION_TOL
+                    assert 0.0 <= residuals[r] <= RECONSTRUCTION_TOL, r
+                want = np.array([operator_norm(commutator(ctx.evolve(a, t), b_full)) for t in self.TIMES])
+                floor = 4 * eps * dim * (operator_norm(h) * np.abs(self.TIMES) + 1.0) * scale
+                assert np.all(np.abs(norms[r] - want) <= floor + 1e-9 * want), r
 
     def test_no_hamiltonians(self, rng):
         geom, h0, _ = exchange_and_fields(rng, 0)
@@ -361,7 +358,8 @@ class TestDecoupledDynamics:
         geom, phi, imp, dyn = decoupling_instance(rng, 5.0)
         a = DenseOperator.single_site(-1, random_hermitian(rng, 2, norm=1.0))
         b = DenseOperator.single_site(1, random_hermitian(rng, 2, norm=1.0))
-        assert dyn.full.commutator_norms(a, b)(2.0) > 1e-3
+        zero = np.zeros(geom.total_dim)
+        assert commutator_norm_table(dyn.full.hamiltonian, [zero], a, b, geom, (2.0,))[0][0, 0] > 1e-3
 
     def test_phase_conjugation_identity(self, rng):
         # removing the decoupling-site coupling only rotates each transition

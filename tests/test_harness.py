@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -28,8 +29,9 @@ from lrchain.harness import (
     run_verify,
     write_report,
 )
+from lrchain.disorder import heisenberg_bond
 from lrchain.model import ImpuritySpec, NNInteraction, build_perturbed_hamiltonian
-from lrchain.operators import PAULI
+from lrchain.operators import PAULI, commutator, embed_local, operator_norm
 from util import assert_json_object_errors, random_hermitian
 
 
@@ -255,6 +257,33 @@ class TestRunVerify:
         assert diagonal.spectral_blocks == (1,) * dim
         assert diagonal.records[0].exact_norm == 0.0
 
+    def test_sector_joining_pair(self):
+        # sx at both edges joins every S^z sector of a Heisenberg chain with
+        # an sz impurity, so the exact norms come from one group over the
+        # whole chain; they agree with evolving A densely to the dense-ED
+        # floor 4 eps dim (||H|| |t| + 1) ||A|| ||B|| + 1e-9 relative, and
+        # spectral_blocks still lists the sectors of H
+        half_length = 3
+        geom = ChainGeometry(half_length, 2)
+        phi = NNInteraction(geom, uniform_bond=heisenberg_bond(1.0))
+        imp = ImpuritySpec.uniform([0], np.diag([1.0, -1.0]), 5.0)
+        sx = np.array(PAULI["sx"])
+        obs_a, obs_b = ObservableSpec(-half_length, sx, "sx"), ObservableSpec(half_length, sx, "sx")
+        t_grid = (0.0, 0.3, 1.2, 2.5)
+        report = run_verify(ExperimentConfig(geom, phi, imp, 1.0, obs_a, obs_b, t_grid), write=False)
+        n = geom.n_sites
+        assert report.spectral_blocks == tuple(math.comb(n, k) for k in range(n + 1))
+        assert 0.0 <= report.reconstruction_residual <= RECONSTRUCTION_TOL
+        h = build_perturbed_hamiltonian(phi, imp, geom)
+        ctx = EvolutionContext(h, geom)
+        b_full = embed_local(obs_b.operator(), geom.full_support, geom)
+        eps, dim, h_norm = np.finfo(float).eps, geom.total_dim, operator_norm(h)
+        for rec in report.records:
+            want = operator_norm(commutator(ctx.evolve(obs_a.operator(), rec.t), b_full))
+            floor = 4 * eps * dim * (h_norm * abs(rec.t) + 1.0)
+            assert abs(rec.exact_norm - want) <= floor + 1e-9 * want, (rec.t, rec.exact_norm, want)
+        assert report.records[0].exact_norm == 0.0 and report.records[-1].exact_norm > 1e-3
+
     def test_no_violations_on_honest_instance(self, rng):
         # L = 4 puts the observables 8 sites apart, satisfying the improved
         # bound's separation hypothesis (>= 7)
@@ -288,6 +317,7 @@ class TestRunVerify:
         docs = [r.to_json_doc() for r in (first, second, threaded)]
         for doc in docs:
             doc.pop("timings_ms")
+            assert doc.pop("exact_norms_ms") >= 0.0
         assert docs[0] == docs[1] == docs[2]
 
     def test_csv_header_tracks_bound_set(self, rng):
@@ -373,6 +403,7 @@ class TestImprovementPoints:
             violations=tuple(msgs),
             spectral_blocks=clean.spectral_blocks,
             reconstruction_residual=clean.reconstruction_residual,
+            exact_norms_ms=clean.exact_norms_ms,
         )
         assert not report.ok
         dump = report.diagnostic_dump()
