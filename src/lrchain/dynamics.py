@@ -14,7 +14,7 @@ full and decoupled evolutions of an observable.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 
 import numpy as np
@@ -107,7 +107,7 @@ def _rotate(evecs: np.ndarray, *blocks: np.ndarray) -> tuple:
     return tuple(evecs_dag @ m @ evecs for m in blocks)
 
 
-def _block_norms(eigenvalues: np.ndarray, a_rot: np.ndarray, b_rot: np.ndarray, t: float, hermitian: bool):
+def _block_norms(eigenvalues: np.ndarray, a_rot: np.ndarray, b_rot: np.ndarray, hermitian: bool, t: float):
     """|| [X, B'] || with X = p A' p^dag and p = exp(itw), for a stack of blocks.
 
     The commutator is formed as `commutator_norm_table` describes.
@@ -124,6 +124,24 @@ def _block_norms(eigenvalues: np.ndarray, a_rot: np.ndarray, b_rot: np.ndarray, 
         m -= b_rot @ x
         del x
     return operator_norm(m)
+
+
+def _split_norms(
+    eigenvalues: np.ndarray, a_rot: np.ndarray, v_short: np.ndarray, v_long: np.ndarray, gap: float, t: float
+):
+    """gap * || Y || with Y = (V_s p) A' (V_l p)^dag and p = exp(itw), for a stack of blocks.
+
+    V_s and V_l are the rows of the eigenvector matrix on the two sides of
+    B's split, V_s the side with fewer rows; || Y || is the square root of
+    the top eigenvalue of Y Y^dag, as `commutator_norm_table` describes.
+    The Gram matrix plus its adjoint, 2 Y Y^dag to rounding, is Hermitian
+    entry for entry, so `operator_norm` takes `eigvalsh`.
+    """
+    phases = np.exp(1j * t * eigenvalues)[..., None, :]
+    y = (v_short * phases) @ a_rot @ (v_long * phases).conj().swapaxes(-1, -2)
+    gram = y @ y.conj().swapaxes(-1, -2)
+    gram += gram.conj().swapaxes(-1, -2)
+    return gap * np.sqrt(0.5 * operator_norm(gram))
 
 
 class EvolutionContext:
@@ -210,24 +228,43 @@ def commutator_norm_table(
     block-diagonal over these groups, hence so is the commutator, and its
     norm is the largest of the block norms.  For diagonal A and B the groups
     are the spectral blocks of H_r, such as its S^z sectors; a pair that
-    joins blocks is eigendecomposed whole over each group it joins.  The
-    norm is unitarily invariant, so each block of A and B is rotated into
-    the eigenbasis once (A', B'); each time point then costs, per block, the
-    phase pattern X = p A' p^dag with p = exp(itw), the product M = X B' and
-    one norm.  When both local matrices are exactly Hermitian,
-    [X, B'] = M - M^dag in exact arithmetic, and i (M - M^dag) is Hermitian
-    entry for entry, so `operator_norm` takes `eigvalsh`; otherwise the
-    commutator is M - B' X.  The t = 0 column does not depend on H: it is
-    formed once in the computational basis, where disjoint supports commute
-    exactly.
+    joins blocks is eigendecomposed whole over each group it joins.  Each
+    group's block is eigendecomposed, V diag(w) V^dag, and A is rotated
+    into the eigenbasis once, A' = V^dag A V; with p = exp(itw) the evolved
+    block of A is V X V^dag for X = p A' p^dag.  Each time point then costs
+    one norm per group, taken by one of two routes:
+
+    * Split route, when both local matrices are exactly Hermitian and the
+      local B is exactly diagonal with exactly two distinct values
+      b_1 < b_2.  Then B = b_1 P_1 + b_2 P_2 for the projections P_1, P_2
+      onto the basis states where it takes each value, and for Hermitian
+      Y = V X V^dag, [Y, B] = (b_2 - b_1) (P_1 Y P_2 - P_2 Y P_1), a
+      block anti-diagonal matrix with norm (b_2 - b_1) || P_1 Y P_2 ||.
+      The rows of V are split by B's value into V_s and V_l, V_s the side
+      with fewer rows, and the norm is (b_2 - b_1) times the square root of
+      the top eigenvalue of G = Z Z^dag for Z = (V_s p) A' (V_l p)^dag:
+      one `eigvalsh` of size min(k_1, k_2) instead of k, through
+      `operator_norm`.  B is never rotated, and a group on which B is
+      constant contributes 0.
+    * Block route, for every other pair (non-diagonal B such as sx or sy,
+      a diagonal B with three or more values, non-Hermitian A or B).  B is
+      rotated too, B' = V^dag B V, and the norm is the one of [X, B'],
+      formed from the product M = X B'.  When both local matrices are
+      exactly Hermitian, [X, B'] = M - M^dag in exact arithmetic, and
+      i (M - M^dag) is Hermitian entry for entry, so `operator_norm` takes
+      `eigvalsh`; otherwise the commutator is M - B' X.
+
+    Both selection tests are exact comparisons on the input.  The t = 0
+    column does not depend on H: it is formed once in the computational
+    basis, where disjoint supports commute exactly.
 
     The groups are found and gathered from H0, A and B once.  The
     Hamiltonians then run in chunks: per group, a chunk takes one stacked
     `hermitian_spectral`, one stacked reconstruction check, one stacked
-    rotation of A and B and one stacked norm per time point, and each member
-    gets the bits it would get in a chunk of its own.  No dense eigenvector
-    matrix of the chain is formed.  The chunk holds as many Hamiltonians as
-    one stack of the largest group fits in `_STACK_CHUNK_BYTES`.
+    rotation and one stacked norm per time point, and each member gets the
+    bits it would get in a chunk of its own.  No dense eigenvector matrix of
+    the chain is formed.  The chunk holds as many Hamiltonians as one stack
+    of the largest group fits in `_STACK_CHUNK_BYTES`.
     """
     _check_full_chain_hamiltonian(h0, geom)
     h = h0.matrix
@@ -235,10 +272,19 @@ def commutator_norm_table(
     hermitian = all(np.array_equal(m, m.conj().T) for m in (a.matrix, b.matrix))
     a_full, b_full = embed_local(a, geom.full_support, geom), embed_local(b, geom.full_support, geom)
     groups = connected_components((h != 0) | (a_full.matrix != 0) | (b_full.matrix != 0))
+    b_values = np.unique(np.diagonal(b.matrix).real)
+    two_valued = hermitian and len(b_values) == 2 and np.array_equal(b.matrix, np.diag(np.diagonal(b.matrix)))
+    b_upper = np.diagonal(b_full.matrix).real == b_values[-1]
     gathered = []
     for idx in groups:
         block = np.ix_(idx, idx)
-        gathered.append((idx, h[block], a_full.matrix[block], b_full.matrix[block]))
+        if not two_valued:
+            b_part = b_full.matrix[block]
+        else:
+            b_part = sorted((np.flatnonzero(~b_upper[idx]), np.flatnonzero(b_upper[idx])), key=len)
+            if not len(b_part[0]):
+                b_part = None
+        gathered.append((idx, h[block], a_full.matrix[block], b_part))
     largest = max(len(idx) for idx in groups)
     chunk = max(1, _STACK_CHUNK_BYTES // (16 * largest * largest))  # 16 bytes per complex128 entry
 
@@ -251,7 +297,7 @@ def commutator_norm_table(
             )
         norms = np.zeros((len(chunk_diagonals), len(times)))
         squared_residual = squared_norm = 0.0
-        for idx, h_block, a_block, b_block in gathered:
+        for idx, h_block, a_block, b_part in gathered:
             k = len(idx)
             stack = np.zeros((len(chunk_diagonals), k, k), dtype=complex)
             stack[:, np.arange(k), np.arange(k)] = chunk_diagonals[:, idx]
@@ -260,11 +306,18 @@ def commutator_norm_table(
             del stack
             squared_residual += block_residual
             squared_norm += block_norm
-            a_rot, b_rot = _rotate(evecs, a_block, b_block)
+            if b_part is None:
+                continue  # B is constant on this group, so it commutes with X
+            if two_valued:
+                (a_rot,) = _rotate(evecs, a_block)
+                v_short, v_long = (evecs[:, rows] for rows in b_part)
+                block_norms = partial(_split_norms, evals, a_rot, v_short, v_long, b_values[1] - b_values[0])
+            else:
+                block_norms = partial(_block_norms, evals, *_rotate(evecs, a_block, b_part), hermitian)
             del evecs
             for j, t in enumerate(times):
                 if t != 0.0:
-                    np.maximum(norms[:, j], _block_norms(evals, a_rot, b_rot, t, hermitian), out=norms[:, j])
+                    np.maximum(norms[:, j], block_norms(t), out=norms[:, j])
         norm_chunks.append(norms)
         residual_chunks.append(_reconstruction_residual(squared_residual, squared_norm))
     norms, residuals = np.concatenate(norm_chunks), np.concatenate(residual_chunks)

@@ -54,7 +54,7 @@ from .operators import (
     commutator,
     conditional_expectation,
     epsilon_unitaries,
-    local_commutator_epsilon,
+    monomial_epsilon,
     operator_norm,
 )
 from .serialize import fmt_float, read_json_object, render_csv, render_json
@@ -679,14 +679,15 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
             max(a.support.lo - 1, -geom.half_length),
             min(a.support.hi + 1, geom.half_length),
         )
-        eps = local_commutator_epsilon(evolved, keep, geom)
+        unitaries = epsilon_unitaries(keep, geom)
+        norm = operator_norm(evolved)
+        eps = monomial_epsilon(evolved.matrix, norm, unitaries)
         projected = conditional_expectation(evolved, keep, geom)
         lhs = operator_norm((evolved - projected).matrix)
-        rhs = eps * operator_norm(evolved.matrix)
+        rhs = eps * norm
         return max(lhs - rhs, 0.0), (
             f"||(id - E)(evolved A)|| = {fmt_float(lhs)} vs eps * norm = "
-            f"{fmt_float(rhs)} on keep = {keep}; "
-            f"{len(epsilon_unitaries(keep, geom))} unitaries"
+            f"{fmt_float(rhs)} on keep = {keep}; {len(unitaries)} unitaries"
         )
 
     guarded("decoupled_blocking", IDENTITY_TOL, check_blocking)

@@ -356,11 +356,19 @@ def local_commutator_epsilon(a: DenseOperator, keep: SiteSupport, geom: ChainGeo
     norm_a = operator_norm(a)
     if norm_a == 0.0:
         return 0.0
-    unitaries = epsilon_unitaries(keep, geom)
-    if not unitaries:
+    return monomial_epsilon(a.matrix, norm_a, epsilon_unitaries(keep, geom))
+
+
+def monomial_epsilon(m: np.ndarray, norm_m: float, unitaries: list) -> float:
+    """max ||[m, U]|| / norm_m over the entries of `epsilon_unitaries`; 0 for norm_m = 0 or no entries.
+
+    The step of `local_commutator_epsilon` after the norm and the unitary
+    set, for a caller that needs both of them as well.
+    """
+    if norm_m == 0.0 or not unitaries:
         return 0.0
     # ||B|| = 1: a tensor product of unitaries is unitary
-    return float(np.max(_monomial_commutator_norms(a.matrix, unitaries))) / norm_a
+    return float(np.max(_monomial_commutator_norms(m, unitaries))) / norm_m
 
 
 LOCALIZATION_TOL = 1e-10

@@ -270,6 +270,82 @@ class TestCommutatorNormTable:
                 floor = 4 * eps * dim * (operator_norm(h) * np.abs(self.TIMES) + 1.0) * scale
                 assert np.all(np.abs(norms[r] - want) <= floor + 1e-9 * want), r
 
+    def test_two_valued_route_matches_dense_evolution(self, rng, monkeypatch):
+        # a Hermitian pair with a B that is diagonal with two distinct values
+        # takes the norm from the block P_1 X P_2: sz pairs, a diagonal inline
+        # B whose gap is not 2 (one site and two), and a non-diagonal A that
+        # joins the sectors.  Seven Hamiltonians at two per chunk make four
+        # chunks; row r equals the table of H_r alone, and every norm agrees
+        # with evolving A and commuting with B to the dense-ED floor.  The
+        # one-state sectors (all spins up or down) are groups on which B is
+        # constant.
+        geom, h0, fields = exchange_and_fields(rng, 7)
+        eps, dim = np.finfo(float).eps, geom.total_dim
+        sz = PAULI["sz"]
+        cases = (
+            (DenseOperator.single_site(-2, sz), DenseOperator.single_site(2, sz)),
+            (DenseOperator.single_site(-1, sz), DenseOperator.single_site(1, np.diag([0.3, -1.2]))),
+            (DenseOperator.single_site(-2, sz), DenseOperator(SiteSupport(1, 2), np.diag([0.3, -1.2, -1.2, 0.3]))),
+            (DenseOperator(SiteSupport(-2, -1), random_hermitian(rng, 4)),
+             DenseOperator.single_site(2, np.diag([0.3, -1.2]))),
+        )
+        sectors = connected_components(h0.matrix != 0)
+        assert [len(idx) for idx in sectors][0] == [len(idx) for idx in sectors][-1] == 1
+        largest = max(len(idx) for idx in sectors)
+        monkeypatch.setattr(dynamics, "_STACK_CHUNK_BYTES", 2 * 16 * largest * largest)
+        split_calls = []
+        split = dynamics._split_norms
+        monkeypatch.setattr(dynamics, "_split_norms", lambda *args: split_calls.append(1) or split(*args))
+        for a, b in cases:
+            norms, residuals = commutator_norm_table(h0, fields, a, b, geom, self.TIMES)
+            scale = operator_norm(a) * operator_norm(b)
+            b_full = embed_local(b, geom.full_support, geom)
+            for r, d in enumerate(fields):
+                h = DenseOperator(geom.full_support, h0.matrix + np.diag(d))
+                alone, alone_residual = commutator_norm_table(h, [np.zeros(dim)], a, b, geom, self.TIMES)
+                assert norms[r].tolist() == alone[0].tolist(), r
+                assert residuals[r] == alone_residual[0], r
+                ctx = EvolutionContext(h, geom)
+                want = np.array([operator_norm(commutator(ctx.evolve(a, t), b_full)) for t in self.TIMES])
+                floor = 4 * eps * dim * (operator_norm(h) * np.abs(self.TIMES) + 1.0) * scale
+                assert np.all(np.abs(norms[r] - want) <= floor), (r, norms[r], want)
+                assert norms[r, -1] > 1e-3
+        assert split_calls
+
+    def test_route_selection(self, rng, monkeypatch):
+        # only a Hermitian pair whose B is diagonal with exactly two distinct
+        # values takes the split route; everything else, including a
+        # three-valued diagonal B on a qutrit chain, takes _block_norms
+        routes = []
+        for name in ("_block_norms", "_split_norms"):
+            spy = lambda *args, name=name, route=getattr(dynamics, name): routes.append(name) or route(*args)
+            monkeypatch.setattr(dynamics, name, spy)
+
+        def route_of(geom, h, a, b):
+            routes.clear()
+            commutator_norm_table(h, [np.zeros(geom.total_dim)], a, b, geom, self.TIMES)
+            assert len(set(routes)) == 1, routes
+            return routes[0]
+
+        geom, h = heisenberg_field_chain(rng)
+        sz = DenseOperator.single_site(-2, PAULI["sz"])
+        assert route_of(geom, h, sz, DenseOperator.single_site(2, PAULI["sz"])) == "_split_norms"
+        assert route_of(geom, h, DenseOperator.single_site(-2, PAULI["sx"]),
+                        DenseOperator.single_site(2, PAULI["sz"])) == "_split_norms"
+        block_route = (
+            (sz, DenseOperator.single_site(2, PAULI["sx"])),
+            (sz, DenseOperator.single_site(2, PAULI["sy"])),
+            (DenseOperator.single_site(-2, np.diag([1.0, 2.0 + 1.0j])), DenseOperator.single_site(2, PAULI["sz"])),
+            (sz, DenseOperator.single_site(2, np.diag([1.0, 2.0 + 1.0j]))),
+        )
+        for a, b in block_route:
+            assert route_of(geom, h, a, b) == "_block_norms"
+        qutrit_geom, qutrit_phi = random_chain(rng, local_dim=3)
+        qutrit_h = build_perturbed_hamiltonian(qutrit_phi, ImpuritySpec.empty(), qutrit_geom)
+        spin_one_z = np.diag([1.0, 0.0, -1.0])
+        qutrit_pair = (DenseOperator.single_site(-2, spin_one_z), DenseOperator.single_site(2, spin_one_z))
+        assert route_of(qutrit_geom, qutrit_h, *qutrit_pair) == "_block_norms"
+
     def test_no_hamiltonians(self, rng):
         geom, h0, _ = exchange_and_fields(rng, 0)
         a = DenseOperator.single_site(-2, PAULI["sz"])
