@@ -31,7 +31,7 @@ from .harness import (
     write_report,
 )
 from .model import ModelFormatError
-from .serialize import read_json_object, render_csv, render_json
+from .serialize import INTEGER, NUMBER, NUMBERS, read_field, read_json_object, render_csv, render_json
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -87,46 +87,50 @@ def _check_threads(threads: int) -> int:
     return threads
 
 
+def _emit(out, csv_text: str | None, summary) -> None:
+    """With an output prefix `out`, name the two files written there and print the summary;
+    without one, print `csv_text`, and the summary to stderr."""
+    if out:
+        print(f"wrote {out}.csv and {out}.json")
+    else:
+        sys.stdout.write(csv_text)
+    for line in summary:
+        print(line, file=sys.stdout if out else sys.stderr)
+
+
 def _cmd_constants(args) -> int:
-    doc = read_json_object(args.config, ConfigError) if args.config else {}
-    unknown = set(doc) - {"mu", "phi_norm", "D", "radius"}
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
-    mus = doc.get("mu")
+    doc = read_json_object(args.config, ConfigError, ("mu", "phi_norm", "D", "radius")) if args.config else {}
+    mus = read_field(doc, "mu", NUMBERS if isinstance(doc.get("mu"), list) else NUMBER, args.config, ConfigError, None)
+    phi_norm = read_field(doc, "phi_norm", NUMBER, args.config, ConfigError, None)
+    local_dim = read_field(doc, "D", INTEGER, args.config, ConfigError, None)
+    radius = read_field(doc, "radius", INTEGER, args.config, ConfigError, None)
     if args.mu is not None:
         try:
             mus = [float(s) for s in args.mu.split(",") if s.strip()]
         except ValueError as exc:
             raise ConfigError(f"--mu: {exc}") from exc
-    if isinstance(mus, (int, float)):
-        mus = [float(mus)]
+    if isinstance(mus, float):
+        mus = [mus]
     if not mus:
         raise ConfigError("constants needs decay rates: --mu or a config with a 'mu' list")
-    phi_norm = args.phi_norm if args.phi_norm is not None else doc.get("phi_norm")
+    phi_norm = args.phi_norm if args.phi_norm is not None else phi_norm
     if phi_norm is None:
         raise ConfigError("constants needs --phi-norm or a config with 'phi_norm'")
-    local_dim = args.local_dim if args.local_dim is not None else doc.get("D")
+    local_dim = args.local_dim if args.local_dim is not None else local_dim
     if local_dim is None:
         raise ConfigError("constants needs --local-dim or a config with 'D'")
-    radius = args.radius if args.radius is not None else doc.get("radius")
+    radius = args.radius if args.radius is not None else radius
 
-    rows = constants_rows(mus, float(phi_norm), int(local_dim), radius)
+    rows = constants_rows(mus, phi_norm, local_dim, radius)
     csv_text = render_csv(CONSTANTS_CSV_HEADER, rows)
     if args.out:
         json_doc = {
-            "config": {
-                "mu": [float(m) for m in mus],
-                "phi_norm": float(phi_norm),
-                "D": int(local_dim),
-                "radius": radius,
-            },
+            "config": {"mu": mus, "phi_norm": phi_norm, "D": local_dim, "radius": radius},
             "header": list(CONSTANTS_CSV_HEADER),
             "rows": [list(r) for r in rows],
         }
-        paths = write_report(args.out, csv_text, render_json(json_doc))
-        print(f"wrote {paths[0]} and {paths[1]}")
-    else:
-        sys.stdout.write(csv_text)
+        write_report(args.out, csv_text, render_json(json_doc))
+    _emit(args.out, csv_text, ())
     return EXIT_OK
 
 
@@ -143,14 +147,7 @@ def _experiment_config(args) -> ExperimentConfig:
 def _cmd_verify(args) -> int:
     cfg = _experiment_config(args)
     report = run_verify(cfg, threads=_check_threads(args.threads))
-    if cfg.out:
-        print(f"wrote {cfg.out}.csv and {cfg.out}.json")
-        for line in report.summary_lines():
-            print(line)
-    else:
-        sys.stdout.write(report.to_csv())
-        for line in report.summary_lines():
-            print(line, file=sys.stderr)
+    _emit(cfg.out, None if cfg.out else report.to_csv(), report.summary_lines())
     if not report.ok:
         for line in report.diagnostic_dump():
             print(line, file=sys.stderr)
@@ -161,14 +158,7 @@ def _cmd_verify(args) -> int:
 def _cmd_identities(args) -> int:
     cfg = _experiment_config(args)
     report = run_identities(cfg)
-    if cfg.out:
-        print(f"wrote {cfg.out}.csv and {cfg.out}.json")
-        for line in report.summary_lines():
-            print(line)
-    else:
-        sys.stdout.write(report.to_csv())
-        for line in report.summary_lines():
-            print(line, file=sys.stderr)
+    _emit(cfg.out, None if cfg.out else report.to_csv(), report.summary_lines())
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
@@ -185,15 +175,10 @@ def _cmd_disorder(args) -> int:
     start = time.perf_counter()
     report = monte_carlo_sweep(cfg, threads=_check_threads(args.threads))
     wall_ms = (time.perf_counter() - start) * 1e3
+    csv_text = report.to_csv()
     if args.out:
-        paths = write_report(args.out, report.to_csv(), report.to_json(wall_ms))
-        print(f"wrote {paths[0]} and {paths[1]}")
-        for line in report.summary_lines():
-            print(line)
-    else:
-        sys.stdout.write(report.to_csv())
-        for line in report.summary_lines():
-            print(line, file=sys.stderr)
+        write_report(args.out, csv_text, report.to_json(wall_ms))
+    _emit(args.out, csv_text, report.summary_lines())
     return EXIT_FAILURE if report.violation_count else EXIT_OK
 
 

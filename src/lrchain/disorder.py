@@ -26,9 +26,9 @@ import numpy as np
 from .bounds import VIOLATION_TOL, LRParameters, main_constant
 from .dynamics import commutator_norm_table
 from .geometry import ChainGeometry
-from .model import ImpuritySpec, NNInteraction, build_nn_hamiltonian
+from .model import NNInteraction, build_nn_hamiltonian
 from .operators import PAULI, DenseOperator, embed_local
-from .serialize import fmt_float, read_json_object, render_csv, render_json
+from .serialize import INTEGER, NUMBER, NUMBERS, fmt_float, read_field, read_json_object, render_csv, render_json
 
 _MASK64 = (1 << 64) - 1
 
@@ -125,28 +125,17 @@ class DisorderConfig:
     @classmethod
     def from_json(cls, path) -> DisorderConfig:
         path = str(path)
-        doc = read_json_object(path)
-        known = {"mu", "J", "a", "b", "L", "n_realizations", "seed", "t_grid", "L_exact", "epsilon"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-        missing = {"mu", "J", "a", "b", "L", "n_realizations", "seed", "t_grid"} - set(doc)
-        if missing:
-            raise ValueError(f"{path}: missing required keys {sorted(missing)}")
+        required = {
+            "mu": NUMBER, "J": NUMBER, "a": NUMBER, "b": NUMBER,
+            "L": INTEGER, "n_realizations": INTEGER, "seed": INTEGER, "t_grid": NUMBERS,
+        }
+        doc = read_json_object(path, ValueError, (*required, "L_exact", "epsilon"), required)
+        fields = {key: read_field(doc, key, kind, path, ValueError) for key, kind in required.items()}
+        fields["L_exact"] = read_field(doc, "L_exact", INTEGER, path, ValueError, cls.L_exact)
+        fields["epsilon"] = read_field(doc, "epsilon", NUMBER, path, ValueError, cls.epsilon)
         try:
-            return cls(
-                mu=float(doc["mu"]),
-                J=float(doc["J"]),
-                a=float(doc["a"]),
-                b=float(doc["b"]),
-                L=int(doc["L"]),
-                n_realizations=int(doc["n_realizations"]),
-                seed=int(doc["seed"]),
-                t_grid=tuple(doc["t_grid"]),
-                L_exact=int(doc.get("L_exact", 3)),
-                epsilon=(float(doc["epsilon"]) if "epsilon" in doc else None),
-            )
-        except (TypeError, ValueError) as exc:
+            return cls(**fields)
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -165,19 +154,6 @@ def _field_strengths(cfg: DisorderConfig, couplings) -> dict:
     return lams
 
 
-def heisenberg_sparse_field_model(cfg: DisorderConfig, couplings) -> tuple:
-    """(geometry, interaction, impurities) for one field realization.
-
-    `couplings` maps sublattice sites to field strengths; sites outside the
-    chain are allowed (the large-deviation event counts them) and ignored
-    here.  Strengths below 1, outside the sampler's support, are rejected.
-    """
-    geom = ChainGeometry(cfg.L, 2)
-    phi = NNInteraction(geom, uniform_bond=heisenberg_bond(cfg.J))
-    imp = ImpuritySpec.uniform(cfg.field_sites(), PAULI["sz"], _field_strengths(cfg, couplings))
-    return geom, phi, imp
-
-
 class SparseFieldChain:
     """The exchange chain of one sweep, built once; a realization adds only its field diagonal.
 
@@ -185,9 +161,10 @@ class SparseFieldChain:
     each field site, and the full-chain sz observables at the two chain
     edges.  `field(couplings)` is the diagonal sum_x lam_x sz_x, summed in
     site order from zero: embedded sz is exactly +-1, so exchange +
-    diag(field) equals `build_perturbed_hamiltonian` of
-    `heisenberg_sparse_field_model` entry for entry.  Building it costs
-    dense chain matrices, so only chains within exact reach should build it.
+    diag(field) equals, entry for entry, `build_perturbed_hamiltonian` of
+    the exchange chain with `ImpuritySpec.uniform(field_sites, sz, strengths)`.
+    Building it costs dense chain matrices, so only chains within exact
+    reach should build it.
     """
 
     def __init__(self, cfg: DisorderConfig):

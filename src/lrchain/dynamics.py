@@ -348,7 +348,6 @@ class DecoupledDynamics:
         self.coupling = imp.coupling(site)
         self.spacing = min_spacing(imp)
         bare = build_decoupled_hamiltonian(phi, imp, site, geom)
-        self.bare_decoupled = bare
         self.full = EvolutionContext(build_perturbed_hamiltonian(phi, imp, geom), geom)
         self.decoupled = EvolutionContext(bare + perturbation_operator(imp, geom), geom)
         self.reduced = EvolutionContext(bare + perturbation_operator(imp, geom, exclude=site), geom)

@@ -17,6 +17,7 @@ JSON mirror carrying the config echo and wall-clock timings.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -38,10 +39,7 @@ from .dynamics import DecoupledDynamics, commutator_norm_table, connected_compon
 from .geometry import ChainGeometry, SiteSupport, SupportError
 from .model import (
     ImpuritySpec,
-    ModelFormatError,
     NNInteraction,
-    _fmt_path,
-    _parse_matrix,
     build_decoupled_hamiltonian,
     build_nn_hamiltonian,
     build_perturbed_hamiltonian,
@@ -57,7 +55,22 @@ from .operators import (
     monomial_epsilon,
     operator_norm,
 )
-from .serialize import fmt_float, read_json_object, render_csv, render_json
+from .serialize import (
+    INTEGER,
+    NUMBER,
+    NUMBERS,
+    PATH,
+    STRING,
+    JsonKind,
+    check_keys,
+    fmt_float,
+    fmt_path,
+    read_field,
+    read_json_object,
+    read_matrix,
+    render_csv,
+    render_json,
+)
 
 IDENTITY_TOL = 1e-9
 FD_REL_TOL = 1e-6
@@ -66,6 +79,7 @@ EPSILON_MAX_DIM = 256
 
 BOUND_ORDER = ("apriori", "main", "corollary", "single_impurity")
 DEFAULT_BOUNDS = ("apriori", "main")
+BOUND_NAMES = JsonKind("a list of bound names", (list,), STRING)
 
 
 class ConfigError(ValueError):
@@ -82,22 +96,14 @@ class ObservableSpec:
 
     @classmethod
     def from_json(cls, node, local_dim: int, where: str) -> ObservableSpec:
-        if not isinstance(node, dict):
-            raise ConfigError(f"{where}: expected an object with keys 'site' and 'op'")
-        unknown = set(node) - {"site", "op"}
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-        if "site" not in node or not isinstance(node["site"], int) or isinstance(node["site"], bool):
-            raise ConfigError(f"{where}: 'site' must be an integer")
+        check_keys(node, where, ConfigError, ("site", "op"))
+        site = read_field(node, "site", INTEGER, where, ConfigError)
         if "op" not in node:
             raise ConfigError(f"{where}: missing 'op' (a named Pauli or an inline matrix)")
         op = node["op"]
-        try:
-            matrix = _parse_matrix(op, local_dim, _fmt_path(where, "op"))
-        except ModelFormatError as exc:
-            raise ConfigError(str(exc)) from exc
+        matrix = read_matrix(op, local_dim, fmt_path(where, "op"), ConfigError)
         label = op if isinstance(op, str) else "matrix"
-        return cls(int(node["site"]), matrix, label)
+        return cls(site, matrix, label)
 
     def operator(self) -> DenseOperator:
         return DenseOperator.single_site(self.site, self.matrix)
@@ -178,53 +184,24 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> ExperimentConfig:
         path = str(path)
-        doc = read_json_object(path, ConfigError)
-        known = {"model", "mu", "observable_a", "observable_b", "t_grid", "bounds", "out", "seed"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-        missing = {"model", "mu", "observable_a", "observable_b", "t_grid"} - set(doc)
-        if missing:
-            raise ConfigError(f"{path}: missing required keys {sorted(missing)}")
-        model_ref = doc["model"]
-        if not isinstance(model_ref, str):
-            raise ConfigError(f"{path}.model: expected a file path string")
-        model_path = model_ref
-        if not os.path.isabs(model_path):
-            model_path = os.path.join(os.path.dirname(os.path.abspath(path)), model_path)
+        required = ("model", "mu", "observable_a", "observable_b", "t_grid")
+        doc = read_json_object(path, ConfigError, required + ("bounds", "out", "seed"), required)
+        base = os.path.dirname(os.path.abspath(path))  # relative paths start here; join keeps absolute ones
+        model_path = os.path.join(base, read_field(doc, "model", PATH, path, ConfigError))
         geom, phi, imp = load_model(model_path)
-        if not isinstance(doc["mu"], (int, float)) or isinstance(doc["mu"], bool):
-            raise ConfigError(f"{path}.mu: expected a number")
-        if not isinstance(doc["t_grid"], list):
-            raise ConfigError(f"{path}.t_grid: expected a list of numbers")
-        for i, t in enumerate(doc["t_grid"]):
-            if not isinstance(t, (int, float)) or isinstance(t, bool):
-                raise ConfigError(f"{path}.t_grid[{i}]: expected a number")
-        bounds = doc.get("bounds", list(DEFAULT_BOUNDS))
-        if not isinstance(bounds, list) or not all(isinstance(b, str) for b in bounds):
-            raise ConfigError(f"{path}.bounds: expected a list of bound names")
-        out = doc.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError(f"{path}.out: expected a path string")
-        seed = doc.get("seed")
-        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-            raise ConfigError(f"{path}.seed: expected an integer")
-        if out is not None and not os.path.isabs(out):
-            out = os.path.join(os.path.dirname(os.path.abspath(path)), out)
-        obs_a = ObservableSpec.from_json(doc["observable_a"], geom.local_dim, f"{path}.observable_a")
-        obs_b = ObservableSpec.from_json(doc["observable_b"], geom.local_dim, f"{path}.observable_b")
+        out = read_field(doc, "out", PATH, path, ConfigError, None)
         return cls(
             geom,
             phi,
             imp,
-            float(doc["mu"]),
-            obs_a,
-            obs_b,
-            doc["t_grid"],
-            bound_set=tuple(bounds),
+            read_field(doc, "mu", NUMBER, path, ConfigError),
+            ObservableSpec.from_json(doc["observable_a"], geom.local_dim, fmt_path(path, "observable_a")),
+            ObservableSpec.from_json(doc["observable_b"], geom.local_dim, fmt_path(path, "observable_b")),
+            read_field(doc, "t_grid", NUMBERS, path, ConfigError),
+            bound_set=tuple(read_field(doc, "bounds", BOUND_NAMES, path, ConfigError, DEFAULT_BOUNDS)),
             model_path=model_path,
-            out=out,
-            seed=seed,
+            out=None if out is None else os.path.join(base, out),
+            seed=read_field(doc, "seed", INTEGER, path, ConfigError, None),
         )
 
     def echo(self) -> dict:
@@ -610,7 +587,10 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
     site = pick_decoupling_site(cfg)  # ConfigError propagates: nothing below can run without it
     dd = DecoupledDynamics(phi, imp, site, geom)
 
-    def guarded(name: str, threshold: float, fn) -> None:
+    def guarded(name: str, threshold: float, fn, skip: str = "") -> None:
+        if skip:  # the reason the check cannot run here
+            checks.append(IdentityCheck(name, None, threshold, "skipped", skip))
+            return
         try:
             residual, detail = fn()
         except (SupportError, ValueError) as exc:
@@ -649,29 +629,29 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
         res = max(dd.interpolant_norm(a, b, j, k, t, t) for j, k in dd.block_pairs())
         return res, "interpolant vanishes at s = t"
 
-    def check_derivative():
+    # (step, FD residual, Richardson residual) from one analytic derivative and the step-h and step-h/2
+    # central differences per block pair.  An error is not cached: each check raises it and is marked "error".
+    @functools.cache
+    def derivative_residuals():
         s = 0.4 * t
         step = dd.fd_step()
-        worst = 0.0
-        for j, k in dd.block_pairs():
-            analytic = dd.interpolant_derivative(a, b, j, k, s, t)
-            fd = dd.interpolant_derivative_fd(a, b, j, k, s, t, step=step)
-            denom = max(operator_norm(analytic.matrix), 1e-300)
-            worst = max(worst, operator_norm((analytic - fd).matrix) / denom)
-        return worst, f"central difference, frequency-scaled step {fmt_float(step)}, s = 0.4 t"
-
-    def check_derivative_richardson():
-        s = 0.4 * t
-        step = dd.fd_step()
-        worst = 0.0
+        fd_worst = richardson_worst = 0.0
         for j, k in dd.block_pairs():
             analytic = dd.interpolant_derivative(a, b, j, k, s, t)
             fd1 = dd.interpolant_derivative_fd(a, b, j, k, s, t, step=step)
             fd2 = dd.interpolant_derivative_fd(a, b, j, k, s, t, step=0.5 * step)
-            extrap = (4.0 * fd2.matrix - fd1.matrix) / 3.0
             denom = max(operator_norm(analytic.matrix), 1e-300)
-            worst = max(worst, operator_norm(analytic.matrix - extrap) / denom)
-        return worst, "step-halved extrapolation cancels the quadratic truncation term"
+            fd_worst = max(fd_worst, operator_norm((analytic - fd1).matrix) / denom)
+            extrap = (4.0 * fd2.matrix - fd1.matrix) / 3.0
+            richardson_worst = max(richardson_worst, operator_norm(analytic.matrix - extrap) / denom)
+        return step, fd_worst, richardson_worst
+
+    def check_derivative():
+        step, worst, _ = derivative_residuals()
+        return worst, f"central difference, frequency-scaled step {fmt_float(step)}, s = 0.4 t"
+
+    def check_derivative_richardson():
+        return derivative_residuals()[2], "step-halved extrapolation cancels the quadratic truncation term"
 
     def check_projection():
         evolved = dd.full.evolve(a, t)
@@ -695,26 +675,13 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
     guarded("offdiagonal_decomposition", IDENTITY_TOL, check_blocks)
     guarded("phase_conjugation", IDENTITY_TOL, check_phase)
     guarded("interpolant_endpoint", IDENTITY_TOL, check_endpoint)
-    if t > 0:
-        guarded("interpolant_derivative_fd", FD_REL_TOL, check_derivative)
-        guarded("interpolant_derivative_richardson", RICHARDSON_REL_TOL, check_derivative_richardson)
-    else:
-        checks.append(IdentityCheck("interpolant_derivative_fd", None, FD_REL_TOL, "skipped", "needs t > 0"))
-        checks.append(
-            IdentityCheck("interpolant_derivative_richardson", None, RICHARDSON_REL_TOL, "skipped", "needs t > 0")
-        )
-    if geom.total_dim <= EPSILON_MAX_DIM:
-        guarded("local_projection_inequality", IDENTITY_TOL, check_projection)
-    else:
-        checks.append(
-            IdentityCheck(
-                "local_projection_inequality",
-                None,
-                IDENTITY_TOL,
-                "skipped",
-                f"unitary-set enumeration too large for total dimension {geom.total_dim} > {EPSILON_MAX_DIM}",
-            )
-        )
+    derivative_skip = "" if t > 0 else "needs t > 0"
+    guarded("interpolant_derivative_fd", FD_REL_TOL, check_derivative, derivative_skip)
+    guarded("interpolant_derivative_richardson", RICHARDSON_REL_TOL, check_derivative_richardson, derivative_skip)
+    projection_skip = ""
+    if geom.total_dim > EPSILON_MAX_DIM:
+        projection_skip = f"unitary-set enumeration too large for total dimension {geom.total_dim} > {EPSILON_MAX_DIM}"
+    guarded("local_projection_inequality", IDENTITY_TOL, check_projection, projection_skip)
 
     wall = (time.perf_counter() - start) * 1e3
     report = IdentitiesReport(config=cfg.echo(), site=site, t=t, checks=tuple(checks), wall_time_ms=wall)

@@ -23,13 +23,12 @@ from .operators import (
     HERMITICITY_TOL,
     DenseOperator,
     HermiticityError,
-    PAULI,
     embed_local,
     hermitian_spectral,
     identity_matrix,
     operator_norm,
 )
-from .serialize import read_json_object
+from .serialize import INTEGER, LIST, NUMBER, NUMBERS, OBJECT, check_keys, fmt_path, read_field, read_json_object, read_matrix
 
 DEGENERACY_TOL = 1e-8
 PROJECTOR_TOL = 1e-10
@@ -407,57 +406,6 @@ def offdiagonal_block(phi: NNInteraction, imp: ImpuritySpec, site: int, j: int, 
 # ---------------------------------------------------------------------------
 # model description files
 
-def _fmt_path(*parts) -> str:
-    out = ""
-    for p in parts:
-        if isinstance(p, int):
-            out += f"[{p}]"
-        else:
-            out += ("." if out else "") + str(p)
-    return out
-
-
-def _parse_entry(node, where: str) -> complex:
-    if isinstance(node, (int, float)):
-        return complex(node)
-    if isinstance(node, list) and len(node) == 2 and all(isinstance(v, (int, float)) for v in node):
-        return complex(node[0], node[1])
-    raise ModelFormatError(f"{where}: matrix entry must be a number or a [re, im] pair, got {node!r}")
-
-
-def _parse_matrix(node, dim: int, where: str) -> np.ndarray:
-    if isinstance(node, str):
-        if node in PAULI:
-            m = PAULI[node]
-            if dim != 2:
-                raise ModelFormatError(f"{where}: named matrix {node!r} needs local dimension 2, model has {dim}")
-            return np.array(m)
-        raise ModelFormatError(f"{where}: unknown named matrix {node!r}; known names: {sorted(PAULI)}")
-    if not isinstance(node, list) or len(node) != dim:
-        raise ModelFormatError(f"{where}: expected {dim} matrix rows")
-    rows = []
-    for i, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ModelFormatError(f"{where}[{i}]: expected {dim} entries per row")
-        rows.append([_parse_entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
-    return np.array(rows, dtype=complex)
-
-
-def _require(mapping, key, kind, where: str):
-    if key not in mapping:
-        raise ModelFormatError(f"{where}: missing required key {key!r}")
-    val = mapping[key]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ModelFormatError(f"{_fmt_path(where, key)}: expected a number, got {val!r}")
-        return float(val)
-    if kind is int:
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ModelFormatError(f"{_fmt_path(where, key)}: expected an integer, got {val!r}")
-        return val
-    return val
-
-
 def load_model(path) -> tuple[ChainGeometry, NNInteraction, ImpuritySpec]:
     """Read a chain model from a JSON description file.
 
@@ -468,14 +416,15 @@ def load_model(path) -> tuple[ChainGeometry, NNInteraction, ImpuritySpec]:
     {"site": int, "coupling": float, "hermitian": matrix-or-name} or
     {"site": int, "coupling": float, "eigenvalues": [...], "projectors": [...]}.
     Matrix entries are numbers or [re, im] pairs, rows in row-major site order.
+    Unknown keys, at the top level or in an impurity entry, are rejected.
     Errors carry the JSON path of the offending node (or line/column for
     syntax errors).
     """
     path = str(path)
-    doc = read_json_object(path, ModelFormatError)
+    doc = read_json_object(path, ModelFormatError, ("L", "D", "bond_matrix", "bonds", "impurities"))
 
-    half_length = _require(doc, "L", int, path)
-    local_dim = _require(doc, "D", int, path)
+    half_length = read_field(doc, "L", INTEGER, path, ModelFormatError)
+    local_dim = read_field(doc, "D", INTEGER, path, ModelFormatError)
     try:
         geom = ChainGeometry(half_length, local_dim)
     except ValueError as exc:
@@ -483,55 +432,45 @@ def load_model(path) -> tuple[ChainGeometry, NNInteraction, ImpuritySpec]:
 
     d2 = local_dim ** 2
     uniform = None
-    if "bond_matrix" in doc:
-        uniform = _parse_matrix(doc["bond_matrix"], d2, _fmt_path(path, "bond_matrix"))
-    bonds = None
-    if "bonds" in doc:
-        node = doc["bonds"]
-        if not isinstance(node, dict):
-            raise ModelFormatError(f"{_fmt_path(path, 'bonds')}: expected an object keyed by bond site")
-        bonds = {}
-        for key, val in node.items():
-            try:
-                x = int(key)
-            except ValueError:
-                raise ModelFormatError(f"{_fmt_path(path, 'bonds')}: key {key!r} is not an integer site") from None
-            bonds[x] = _parse_matrix(val, d2, _fmt_path(path, "bonds", key))
+    if doc.get("bond_matrix") is not None:
+        uniform = read_matrix(doc["bond_matrix"], d2, fmt_path(path, "bond_matrix"), ModelFormatError)
+    bonds = {}
+    for key, val in read_field(doc, "bonds", OBJECT, path, ModelFormatError, {}).items():
+        try:
+            x = int(key)
+        except ValueError:
+            raise ModelFormatError(f"{fmt_path(path, 'bonds')}: key {key!r} is not an integer site") from None
+        bonds[x] = read_matrix(val, d2, fmt_path(path, "bonds", key), ModelFormatError)
     try:
         phi = NNInteraction(geom, uniform_bond=uniform, bonds=bonds)
     except (ValueError, SupportError) as exc:
-        raise ModelFormatError(f"{_fmt_path(path, 'bonds')}: {exc}") from exc
+        raise ModelFormatError(f"{fmt_path(path, 'bonds')}: {exc}") from exc
 
     impurities = []
     couplings = {}
-    node = doc.get("impurities", [])
-    if not isinstance(node, list):
-        raise ModelFormatError(f"{_fmt_path(path, 'impurities')}: expected a list")
-    for i, entry in enumerate(node):
-        where = _fmt_path(path, "impurities", i)
-        if not isinstance(entry, dict):
-            raise ModelFormatError(f"{where}: expected an object")
-        site = _require(entry, "site", int, where)
+    for i, entry in enumerate(read_field(doc, "impurities", LIST, path, ModelFormatError, [])):
+        where = fmt_path(path, "impurities", i)
+        check_keys(entry, where, ModelFormatError, ("site", "coupling", "hermitian", "eigenvalues", "projectors"))
+        site = read_field(entry, "site", INTEGER, where, ModelFormatError)
         try:
             geom.check_site(site)
         except SupportError as exc:
-            raise ModelFormatError(f"{_fmt_path(where, 'site')}: {exc}") from exc
-        coupling = _require(entry, "coupling", float, where)
+            raise ModelFormatError(f"{fmt_path(where, 'site')}: {exc}") from exc
+        coupling = read_field(entry, "coupling", NUMBER, where, ModelFormatError)
         try:
             if "hermitian" in entry:
-                matrix = _parse_matrix(entry["hermitian"], local_dim, _fmt_path(where, "hermitian"))
+                matrix = read_matrix(entry["hermitian"], local_dim, fmt_path(where, "hermitian"), ModelFormatError)
                 impurity = SiteImpurity.from_hermitian(site, matrix)
             elif "eigenvalues" in entry or "projectors" in entry:
-                evals = entry.get("eigenvalues")
-                projs = entry.get("projectors")
-                if not isinstance(evals, list) or len(evals) != local_dim:
-                    raise ModelFormatError(f"{_fmt_path(where, 'eigenvalues')}: expected {local_dim} numbers")
-                if not all(isinstance(v, (int, float)) for v in evals):
-                    raise ModelFormatError(f"{_fmt_path(where, 'eigenvalues')}: entries must be real numbers")
-                if not isinstance(projs, list) or len(projs) != local_dim:
-                    raise ModelFormatError(f"{_fmt_path(where, 'projectors')}: expected {local_dim} matrices")
+                evals = read_field(entry, "eigenvalues", NUMBERS, where, ModelFormatError)
+                projs = read_field(entry, "projectors", LIST, where, ModelFormatError)
+                if len(evals) != local_dim:
+                    raise ModelFormatError(f"{fmt_path(where, 'eigenvalues')}: expected {local_dim} numbers")
+                if len(projs) != local_dim:
+                    raise ModelFormatError(f"{fmt_path(where, 'projectors')}: expected {local_dim} matrices")
                 pmats = np.stack([
-                    _parse_matrix(p, local_dim, _fmt_path(where, "projectors", j)) for j, p in enumerate(projs)
+                    read_matrix(p, local_dim, fmt_path(where, "projectors", j), ModelFormatError)
+                    for j, p in enumerate(projs)
                 ])
                 impurity = SiteImpurity(site, np.array(evals, dtype=float), pmats)
             else:
@@ -542,10 +481,10 @@ def load_model(path) -> tuple[ChainGeometry, NNInteraction, ImpuritySpec]:
             raise ModelFormatError(f"{where}: {exc}") from exc
         impurities.append(impurity)
         if site in couplings:
-            raise ModelFormatError(f"{_fmt_path(where, 'site')}: duplicate impurity site {site}")
+            raise ModelFormatError(f"{fmt_path(where, 'site')}: duplicate impurity site {site}")
         couplings[site] = coupling
     try:
         imp = ImpuritySpec(impurities, couplings)
     except ValueError as exc:
-        raise ModelFormatError(f"{_fmt_path(path, 'impurities')}: {exc}") from exc
+        raise ModelFormatError(f"{fmt_path(path, 'impurities')}: {exc}") from exc
     return geom, phi, imp

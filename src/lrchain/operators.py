@@ -182,16 +182,6 @@ def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     return DenseOperator(a.support, a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
-def commutator_norm(a: DenseOperator, b: DenseOperator, geom: ChainGeometry) -> float:
-    """Norm of [a, b] after embedding both into the smallest common interval."""
-    lo = min(a.support.lo, b.support.lo)
-    hi = max(a.support.hi, b.support.hi)
-    joint = SiteSupport(lo, hi)
-    am = embed_local(a, joint, geom)
-    bm = embed_local(b, joint, geom)
-    return operator_norm(commutator(am, bm))
-
-
 def hermitian_spectral(a, tol: float = HERMITICITY_TOL):
     """Eigendecomposition of a Hermitian matrix, or of each member of a stack (..., n, n).
 

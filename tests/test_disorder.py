@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from math import ceil, log
 
 import numpy as np
@@ -15,7 +16,6 @@ from lrchain.disorder import (
     SparseFieldChain,
     default_epsilon,
     heisenberg_bond,
-    heisenberg_sparse_field_model,
     large_deviation_indicator,
     lr_parameters,
     monte_carlo_sweep,
@@ -27,7 +27,7 @@ from lrchain.disorder import (
 from lrchain.dynamics import RECONSTRUCTION_TOL, EvolutionContext, commutator_norm_table, connected_components
 from lrchain.model import build_perturbed_hamiltonian
 from lrchain.operators import PAULI, DenseOperator, commutator, embed_local, operator_norm
-from util import assert_json_object_errors, chain_hamiltonian_oracle, heavy_tail_cdf
+from util import assert_json_object_errors, chain_hamiltonian_oracle, heavy_tail_cdf, heisenberg_sparse_field_model
 
 
 def sz_edge_pair(cfg):
@@ -203,6 +203,28 @@ class TestDisorderConfig:
             "n_realizations": 1, "seed": 0, "t_grid": [0.5], "extra": 1,
         }))
         with pytest.raises(ValueError, match="unknown keys"):
+            DisorderConfig.from_json(p)
+        good = {
+            "mu": 1.0, "J": 1.0, "a": 0.25, "b": 0.5, "L": 3,
+            "n_realizations": 1, "seed": 0, "t_grid": [0.5],
+        }
+        # integer fields must be JSON integers, and every field carries its JSON path
+        for key, value, kind in [
+            ("L", 3.9, "an integer"),
+            ("L", "3", "an integer"),
+            ("seed", 1.7, "an integer"),
+            ("n_realizations", True, "an integer"),
+            ("L_exact", 4.9, "an integer"),
+            ("mu", "1", "a number"),
+            ("mu", float("nan"), "a number"),
+            ("epsilon", float("inf"), "a number"),
+            ("t_grid", "0.5", "a list of numbers"),
+        ]:
+            p.write_text(json.dumps({**good, key: value}))
+            with pytest.raises(ValueError, match=re.escape(f"{p}.{key}: expected {kind}, got {value!r}")):
+                DisorderConfig.from_json(p)
+        p.write_text(json.dumps({**good, "t_grid": [0.5, None]}))
+        with pytest.raises(ValueError, match=re.escape(f"{p}.t_grid[1]: expected a number")):
             DisorderConfig.from_json(p)
         p.write_text("[]")
         with pytest.raises(ValueError, match="top-level"):

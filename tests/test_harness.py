@@ -224,6 +224,9 @@ class TestExperimentConfig:
             ({**base, "model": 7}, "file path"),
             ({**base, "seed": 1.5}, "seed"),
             ({**base, "out": 3}, "out"),
+            ({**base, "seed": True}, r"seed: expected an integer"),
+            ({**base, "bounds": ["main", 3]}, r"bounds\[1\]: expected a string"),
+            ({**base, "observable_a": {"site": 1.0, "op": "sz"}}, r"observable_a\.site: expected an integer"),
         ]
         p = tmp_path / "cfg.json"
         for doc, pattern in cases:
@@ -608,6 +611,27 @@ class TestCli:
         doc = json.loads((tmp_path / "consts.json").read_text())
         assert doc["header"] == list(CONSTANTS_CSV_HEADER)
         assert (tmp_path / "consts.csv").read_text().splitlines()[0] == ",".join(CONSTANTS_CSV_HEADER)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"mu": [1.0], "phi_norm": 3.0, "D": 2, "radius": "200"}, "radius: expected an integer, got '200'"),
+            ({"mu": [1.0], "phi_norm": 3.0, "D": 2, "radius": True}, "radius: expected an integer, got True"),
+            ({"mu": [1.0], "phi_norm": 3.0, "D": 2.7}, "D: expected an integer, got 2.7"),
+            ({"mu": [1.0, "2"], "phi_norm": 3.0, "D": 2}, "mu[1]: expected a number, got '2'"),
+            ({"mu": [1.0], "phi_norm": 3.0, "D": 2, "R": 5}, "unknown keys ['R']"),
+        ],
+        ids=["radius-string", "radius-bool", "D-float", "mu-entry", "unknown-key"],
+    )
+    def test_constants_config_errors_are_exit_two(self, tmp_path, capsys, doc, message):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        code = cli_main(["constants", "--config", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and message in captured.err
+        assert "Traceback" not in captured.err
 
     def test_verify_stdout_and_exit_zero(self, cli_model, capsys):
         code = cli_main(["verify", "--config", str(cli_model / "experiment.json")])

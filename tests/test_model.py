@@ -383,6 +383,16 @@ class TestLoadModel:
                 r"duplicate",
             ),
             ({"L": 0, "D": 2}, r"half_length must be a positive integer"),
+            # a misspelt key would otherwise leave the chain without bonds
+            ({"L": 1, "D": 2, "bond_matrx": "sx"}, r"model\.json: unknown keys \['bond_matrx'\]"),
+            (
+                {"L": 1, "D": 2, "impurities": [{"site": 0, "coupling": 1.0, "hermitian": "sz", "field": 2}]},
+                r"impurities\[0\]: unknown keys \['field'\]",
+            ),
+            (
+                {"L": 1, "D": 2, "impurities": [{"site": 0, "coupling": True, "hermitian": "sz"}]},
+                r"impurities\[0\]\.coupling: expected a number",
+            ),
         ]
         for doc, pattern in cases:
             with pytest.raises(ModelFormatError, match=pattern):

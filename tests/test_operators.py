@@ -11,7 +11,6 @@ from lrchain.operators import (
     _weyl_monomials,
     assert_localized,
     commutator,
-    commutator_norm,
     conditional_expectation,
     embed_local,
     epsilon_unitaries,
@@ -205,13 +204,15 @@ class TestCommutator:
         geom = ChainGeometry(3, 2)
         a = DenseOperator(SiteSupport(-3, -1), random_complex(rng, 8))
         b = DenseOperator(SiteSupport(0, 2), random_complex(rng, 8))
-        assert commutator_norm(a, b, geom) == 0.0
+        full = geom.full_support
+        assert operator_norm(commutator(embed_local(a, full, geom), embed_local(b, full, geom))) == 0.0
 
     def test_commutator_norm_bound(self, rng):
         geom = ChainGeometry(2, 2)
         a = DenseOperator(SiteSupport(-1, 0), random_complex(rng, 4))
         b = DenseOperator(SiteSupport(0, 1), random_complex(rng, 4))
-        val = commutator_norm(a, b, geom)
+        full = geom.full_support
+        val = operator_norm(commutator(embed_local(a, full, geom), embed_local(b, full, geom)))
         assert val <= 2 * operator_norm(a) * operator_norm(b) + 1e-10
         assert val > 0.1  # overlapping random operators essentially never commute
 

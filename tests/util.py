@@ -1,4 +1,5 @@
-"""Independent numerical oracles, and one shared loader check, for the test suite.
+"""Independent numerical oracles, one reference model build and one shared
+loader check, for the test suite.
 
 Every oracle recomputes its quantity by a different route than the library
 (explicit index loops, eigvalsh instead of SVD, direct summation, einsum
@@ -13,6 +14,11 @@ import string
 
 import numpy as np
 import pytest
+
+from lrchain.disorder import _field_strengths, heisenberg_bond
+from lrchain.geometry import ChainGeometry
+from lrchain.model import ImpuritySpec, NNInteraction
+from lrchain.operators import PAULI
 
 
 def random_hermitian(rng, dim: int, norm: float | None = None) -> np.ndarray:
@@ -154,6 +160,20 @@ def chain_hamiltonian_oracle(bonds: dict, fields: dict, half_length: int, d: int
     for x, m in fields.items():
         h += embed_oracle(m, x + half_length, half_length - x, d)
     return h
+
+
+def heisenberg_sparse_field_model(cfg, couplings) -> tuple:
+    """(geometry, interaction, impurities) of one field realization, built as a generic model.
+
+    The reference for the sweep's `SparseFieldChain`: `couplings` maps
+    sublattice sites to field strengths; sites outside the chain are allowed
+    (the large-deviation event counts them) and ignored here.  Strengths
+    below 1, outside the sampler's support, are rejected.
+    """
+    geom = ChainGeometry(cfg.L, 2)
+    phi = NNInteraction(geom, uniform_bond=heisenberg_bond(cfg.J))
+    imp = ImpuritySpec.uniform(cfg.field_sites(), PAULI["sz"], _field_strengths(cfg, couplings))
+    return geom, phi, imp
 
 
 def heavy_tail_cdf(a: float, r) -> np.ndarray:
