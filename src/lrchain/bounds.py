@@ -196,6 +196,10 @@ class BoundOutcome:
     window: tuple = ()
     prefactor_product: float = 1.0
 
+    def __post_init__(self):
+        # impurity sites may be numpy integers, which the JSON record cannot hold
+        object.__setattr__(self, "window", tuple(int(x) for x in self.window))
+
     @classmethod
     def not_applicable(cls, reason: str) -> BoundOutcome:
         return cls(None, False, reason)

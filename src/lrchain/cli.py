@@ -121,7 +121,12 @@ def _cmd_constants(args) -> int:
         raise ConfigError("constants needs --local-dim or a config with 'D'")
     radius = args.radius if args.radius is not None else radius
 
-    rows = constants_rows(mus, phi_norm, local_dim, radius)
+    try:
+        rows = constants_rows(mus, phi_norm, local_dim, radius)
+    except ValueError as exc:
+        if not args.config:
+            raise
+        raise ConfigError(f"{args.config}: {exc}") from exc
     csv_text = render_csv(CONSTANTS_CSV_HEADER, rows)
     if args.out:
         json_doc = {

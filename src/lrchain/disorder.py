@@ -28,7 +28,9 @@ from .dynamics import commutator_norm_table
 from .geometry import ChainGeometry
 from .model import NNInteraction, build_nn_hamiltonian
 from .operators import PAULI, DenseOperator, embed_local
-from .serialize import INTEGER, NUMBER, NUMBERS, fmt_float, read_field, read_json_object, render_csv, render_json
+from .serialize import (
+    INTEGER, NUMBER, NUMBERS, fmt_float, read_field, read_json_object, record_fields, render_csv, render_json
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -121,6 +123,11 @@ class DisorderConfig:
         hi = self.L + 3
         lo = -((self.L + 3) // s) * s
         return tuple(x for x in range(lo, hi + 1, s))
+
+    def echo(self) -> dict:
+        """Every field, then the sublattice the sweep derives from them; sequences as lists."""
+        doc = {**record_fields(self), "t_grid": list(self.t_grid), "spacing": self.spacing}
+        return {**doc, "field_sites": list(self.field_sites()), "event_sites": list(self.event_sites())}
 
     @classmethod
     def from_json(cls, path) -> DisorderConfig:
@@ -247,10 +254,11 @@ SUBSTITUTION_NOTE = (
 )
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple:
+def wilson_interval(successes: int, n: int) -> tuple:
     """Wilson score interval for a binomial proportion at 95% confidence."""
     if n <= 0:
         return (0.0, 1.0)
+    z = 1.959963984540054  # two-sided 95% quantile of the standard normal
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -265,15 +273,25 @@ class SweepReport:
     epsilon: float
     epsilon_source: str
     rows: tuple
-    event_count: int
-    applicable_count: int
-    violation_count: int
     max_reconstruction_residual: float | None  # None when no realization was diagonalized
     note: str = SUBSTITUTION_NOTE
 
     @property
     def n_realizations(self) -> int:
         return int(self.config["n_realizations"])
+
+    @property
+    def event_count(self) -> int:
+        """Realizations on which the event occurred; each has one row per time."""
+        return len({r.realization for r in self.rows if r.event})
+
+    @property
+    def applicable_count(self) -> int:
+        return sum(r.applicable for r in self.rows)
+
+    @property
+    def violation_count(self) -> int:
+        return sum(r.violated for r in self.rows)
 
     @property
     def event_frequency(self) -> float:
@@ -284,13 +302,7 @@ class SweepReport:
         return wilson_interval(self.event_count, self.n_realizations)
 
     def to_csv(self) -> str:
-        return render_csv(
-            SWEEP_CSV_HEADER,
-            (
-                (r.realization, r.seed_child, r.t, r.event, r.exact_norm, r.bound, r.applicable, r.violated)
-                for r in self.rows
-            ),
-        )
+        return render_csv(SWEEP_CSV_HEADER, ([getattr(r, name) for name in SWEEP_CSV_HEADER] for r in self.rows))
 
     def to_json_doc(self, wall_time_ms: float | None = None) -> dict:
         lo, hi = self.wilson_95()
@@ -308,19 +320,7 @@ class SweepReport:
             "violation_count": self.violation_count,
             "max_reconstruction_residual": self.max_reconstruction_residual,
             "note": self.note,
-            "rows": [
-                {
-                    "realization": r.realization,
-                    "seed_child": r.seed_child,
-                    "t": r.t,
-                    "event": r.event,
-                    "exact_norm": r.exact_norm,
-                    "bound": r.bound,
-                    "applicable": r.applicable,
-                    "violated": r.violated,
-                }
-                for r in self.rows
-            ],
+            "rows": [record_fields(r) for r in self.rows],
         }
         if wall_time_ms is not None:
             doc["wall_time_ms"] = wall_time_ms
@@ -341,7 +341,7 @@ class SweepReport:
 
 
 def _run_realization(cfg, epsilon, bounds_by_t, separation_ok, realization, child, couplings, exact):
-    """(event, rows) of one realization; `exact` holds its exact norms along t_grid, or is None."""
+    """The rows of one realization; `exact` holds its exact norms along t_grid, or is None."""
     event = large_deviation_indicator(couplings, cfg, epsilon)
     rows = []
     for j, t in enumerate(cfg.t_grid):
@@ -350,7 +350,7 @@ def _run_realization(cfg, epsilon, bounds_by_t, separation_ok, realization, chil
         applicable = bool(event and norm is not None and separation_ok)
         violated = bool(applicable and norm > bound + VIOLATION_TOL)
         rows.append(SweepRow(realization, child, t, event, norm, bound, applicable, violated))
-    return event, rows
+    return rows
 
 
 def monte_carlo_sweep(cfg: DisorderConfig, threads: int = 1) -> SweepReport:
@@ -381,44 +381,19 @@ def monte_carlo_sweep(cfg: DisorderConfig, threads: int = 1) -> SweepReport:
     bounds_by_t = _bound_curve(cfg, params)
     separation_ok = 2 * cfg.L >= 7
     draws = [sample_couplings(cfg, r) for r in range(cfg.n_realizations)]
-    exact, residuals = None, None
+    exact, residuals = [None] * len(draws), None
     if cfg.L <= cfg.L_exact:
         chain = SparseFieldChain(cfg)
         fields = (chain.field(couplings) for _, couplings in draws)
         exact, residuals = commutator_norm_table(chain.exchange, fields, *chain.edge_observables, chain.geom, cfg.t_grid)
     rows = []
-    event_count = 0
-    for r, (child, couplings) in enumerate(draws):
-        event, chunk = _run_realization(
-            cfg, epsilon, bounds_by_t, separation_ok, r, child, couplings, None if exact is None else exact[r]
-        )
-        event_count += bool(event)
-        rows.extend(chunk)
-    applicable = sum(1 for r in rows if r.applicable)
-    violations = sum(1 for r in rows if r.violated)
-    config_echo = {
-        "mu": cfg.mu,
-        "J": cfg.J,
-        "a": cfg.a,
-        "b": cfg.b,
-        "L": cfg.L,
-        "n_realizations": cfg.n_realizations,
-        "seed": cfg.seed,
-        "t_grid": list(cfg.t_grid),
-        "L_exact": cfg.L_exact,
-        "epsilon": cfg.epsilon,
-        "spacing": cfg.spacing,
-        "field_sites": list(cfg.field_sites()),
-        "event_sites": list(cfg.event_sites()),
-    }
+    for r, ((child, couplings), norms) in enumerate(zip(draws, exact)):
+        rows.extend(_run_realization(cfg, epsilon, bounds_by_t, separation_ok, r, child, couplings, norms))
     return SweepReport(
-        config=config_echo,
+        config=cfg.echo(),
         parameters=params,
         epsilon=epsilon,
         epsilon_source=source,
         rows=tuple(rows),
-        event_count=event_count,
-        applicable_count=applicable,
-        violation_count=violations,
         max_reconstruction_residual=float(residuals.max()) if residuals is not None and residuals.size else None,
     )

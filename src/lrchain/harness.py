@@ -68,6 +68,7 @@ from .serialize import (
     read_field,
     read_json_object,
     read_matrix,
+    record_fields,
     render_csv,
     render_json,
 )
@@ -176,6 +177,8 @@ class ExperimentConfig:
                 seen.append(name)
         if not seen:
             raise ConfigError("bound set must name at least one bound")
+        if self.seed is not None and not 0 <= int(self.seed) < 1 << 64:
+            raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "t_grid", grid)
         object.__setattr__(self, "bound_set", tuple(n for n in BOUND_ORDER if n in seen))
@@ -190,19 +193,23 @@ class ExperimentConfig:
         model_path = os.path.join(base, read_field(doc, "model", PATH, path, ConfigError))
         geom, phi, imp = load_model(model_path)
         out = read_field(doc, "out", PATH, path, ConfigError, None)
-        return cls(
-            geom,
-            phi,
-            imp,
-            read_field(doc, "mu", NUMBER, path, ConfigError),
-            ObservableSpec.from_json(doc["observable_a"], geom.local_dim, fmt_path(path, "observable_a")),
-            ObservableSpec.from_json(doc["observable_b"], geom.local_dim, fmt_path(path, "observable_b")),
-            read_field(doc, "t_grid", NUMBERS, path, ConfigError),
+        fields = dict(
+            geom=geom,
+            phi=phi,
+            imp=imp,
+            mu=read_field(doc, "mu", NUMBER, path, ConfigError),
+            observable_a=ObservableSpec.from_json(doc["observable_a"], geom.local_dim, fmt_path(path, "observable_a")),
+            observable_b=ObservableSpec.from_json(doc["observable_b"], geom.local_dim, fmt_path(path, "observable_b")),
+            t_grid=read_field(doc, "t_grid", NUMBERS, path, ConfigError),
             bound_set=tuple(read_field(doc, "bounds", BOUND_NAMES, path, ConfigError, DEFAULT_BOUNDS)),
             model_path=model_path,
             out=None if out is None else os.path.join(base, out),
             seed=read_field(doc, "seed", INTEGER, path, ConfigError, None),
         )
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def echo(self) -> dict:
         return {
@@ -223,8 +230,8 @@ class ExperimentConfig:
             "seed": self.seed,
         }
 
-    def parameters(self, radius: int | None = None) -> LRParameters:
-        return LRParameters.compute(self.mu, self.phi.strength, radius)
+    def parameters(self) -> LRParameters:
+        return LRParameters.compute(self.mu, self.phi.strength)
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +254,13 @@ class ExperimentRecord:
                 return outcome
         raise KeyError(f"bound {name!r} not evaluated in this record")
 
-    def violations(self, tol: float = VIOLATION_TOL) -> list:
-        out = []
-        for name, outcome in self.bounds:
-            if outcome.applicable and self.exact_norm > outcome.value + tol:
-                out.append(
-                    f"t = {fmt_float(self.t)}: exact norm {fmt_float(self.exact_norm)} exceeds "
-                    f"{name} bound {fmt_float(outcome.value)}"
-                )
-        return out
+    def violations(self) -> list:
+        return [
+            f"t = {fmt_float(self.t)}: exact norm {fmt_float(self.exact_norm)} exceeds "
+            f"{name} bound {fmt_float(outcome.value)}"
+            for name, outcome in self.bounds
+            if outcome.applicable and self.exact_norm > outcome.value + VIOLATION_TOL
+        ]
 
 
 def _best_single_impurity(params, local_dim, support_a, support_b, imp, t, scale) -> BoundOutcome:
@@ -304,11 +309,18 @@ class VerifyReport:
     parameters: LRParameters
     bound_set: tuple
     records: tuple
-    improvement_points: tuple
-    violations: tuple
     spectral_blocks: tuple  # sizes of the connected components of H != 0
     reconstruction_residual: float  # ||U diag(w) U^dag - H||_F / ||H||_F of the eigendecomposition
     exact_norms_ms: float  # wall time of the exact norms of the whole grid
+
+    @property
+    def improvement_points(self) -> tuple:
+        return find_improvement_points(self.records)
+
+    @property
+    def violations(self) -> tuple:
+        """One message per applicable bound that a record's exact norm exceeds."""
+        return tuple(msg for r in self.records for msg in r.violations())
 
     @property
     def ok(self) -> bool:
@@ -350,16 +362,7 @@ class VerifyReport:
                     "dAB": r.distance,
                     "N": r.window_size,
                     "exact_norm": r.exact_norm,
-                    "bounds": {
-                        name: {
-                            "value": outcome.value,
-                            "applicable": outcome.applicable,
-                            "reason": outcome.reason,
-                            "window": [int(x) for x in outcome.window],
-                            "prefactor_product": outcome.prefactor_product,
-                        }
-                        for name, outcome in r.bounds
-                    },
+                    "bounds": {name: record_fields(outcome) for name, outcome in r.bounds},
                 }
                 for r in self.records
             ],
@@ -375,9 +378,7 @@ class VerifyReport:
         return render_json(self.to_json_doc())
 
     def diagnostic_dump(self) -> list:
-        lines = []
-        for msg in self.violations:
-            lines.append(f"VIOLATION: {msg}")
+        lines = [f"VIOLATION: {msg}" for msg in self.violations]
         for r in self.records:
             if not r.violations():
                 continue
@@ -446,15 +447,11 @@ def run_verify(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> V
         wall = (time.perf_counter() - start) * 1e3
         return ExperimentRecord(t, d, len(window), float(exact_norm), outcomes, wall)
 
-    records = tuple(one(t, x) for t, x in zip(cfg.t_grid, exact[0]))
-    violations = tuple(msg for r in records for msg in r.violations())
     report = VerifyReport(
         config=cfg.echo(),
         parameters=params,
         bound_set=cfg.bound_set,
-        records=records,
-        improvement_points=find_improvement_points(records),
-        violations=violations,
+        records=tuple(one(t, x) for t, x in zip(cfg.t_grid, exact[0])),
         spectral_blocks=tuple(len(idx) for idx in connected_components(h.matrix != 0)),
         reconstruction_residual=float(residuals[0]),
         exact_norms_ms=exact_norms_ms,
@@ -509,12 +506,9 @@ class IdentitiesReport:
     def ok(self) -> bool:
         return all(c.status in ("pass", "skipped") for c in self.checks)
 
-    def csv_header(self) -> tuple:
-        return ("check", "residual", "threshold", "status")
-
     def to_csv(self) -> str:
         return render_csv(
-            self.csv_header(),
+            ("check", "residual", "threshold", "status"),
             ((c.name, c.residual, c.threshold, c.status) for c in self.checks),
         )
 
@@ -523,16 +517,7 @@ class IdentitiesReport:
             "config": self.config,
             "decoupling_site": self.site,
             "t": self.t,
-            "checks": [
-                {
-                    "name": c.name,
-                    "residual": c.residual,
-                    "threshold": c.threshold,
-                    "status": c.status,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [record_fields(c) for c in self.checks],
             "wall_time_ms": self.wall_time_ms,
         }
 

@@ -136,13 +136,13 @@ class SiteImpurity:
         object.__setattr__(self, "projectors", projs)
 
     @classmethod
-    def from_hermitian(cls, site: int, matrix, degeneracy_tol: float = DEGENERACY_TOL) -> SiteImpurity:
+    def from_hermitian(cls, site: int, matrix) -> SiteImpurity:
         """Spectrally decompose a Hermitian D x D matrix into impurity data."""
         m = _check_hermitian(matrix, f"impurity matrix at site {site}")
         evals, u = hermitian_spectral(m)
-        if np.min(np.diff(evals)) < degeneracy_tol:
+        if np.min(np.diff(evals)) < DEGENERACY_TOL:
             raise ValueError(
-                f"impurity matrix at site {site} has eigenvalues closer than {degeneracy_tol:.0e}; "
+                f"impurity matrix at site {site} has eigenvalues closer than {DEGENERACY_TOL:.0e}; "
                 "degenerate on-site terms are not supported"
             )
         projs = np.stack([np.outer(u[:, j], u[:, j].conj()) for j in range(m.shape[0])])
@@ -228,7 +228,7 @@ class ImpuritySpec:
             out *= abs(self.coupling(x)) * self.at(x).gap
         return out
 
-    def is_uniform(self, tol: float = UNIFORMITY_TOL) -> bool:
+    def is_uniform(self) -> bool:
         """Same on-site matrix and same coupling at every impurity site."""
         if len(self.impurities) <= 1:
             return True
@@ -236,9 +236,9 @@ class ImpuritySpec:
         lam0 = self.couplings[self.impurities[0].site]
         scale = max(float(np.max(np.abs(first))), 1.0)
         for i in self.impurities[1:]:
-            if np.max(np.abs(i.matrix() - first)) > tol * scale:
+            if np.max(np.abs(i.matrix() - first)) > UNIFORMITY_TOL * scale:
                 return False
-            if abs(self.couplings[i.site] - lam0) > tol * max(abs(lam0), 1.0):
+            if abs(self.couplings[i.site] - lam0) > UNIFORMITY_TOL * max(abs(lam0), 1.0):
                 return False
         return True
 

@@ -75,8 +75,8 @@ class DenseOperator:
     def dag(self) -> DenseOperator:
         return DenseOperator(self.support, self.matrix.conj().T)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= HERMITICITY_TOL)
 
     def validate_dim(self, geom: ChainGeometry) -> None:
         expected = geom.dim_of(self.support)
@@ -182,10 +182,10 @@ def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     return DenseOperator(a.support, a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
-def hermitian_spectral(a, tol: float = HERMITICITY_TOL):
+def hermitian_spectral(a):
     """Eigendecomposition of a Hermitian matrix, or of each member of a stack (..., n, n).
 
-    The input is checked entrywise against its adjoint at `tol`.  A matrix
+    The input is checked entrywise against its adjoint at `HERMITICITY_TOL`.  A matrix
     with a nonzero defect is symmetrized before calling the eigensolver, so
     tiny float asymmetry cannot leak into complex eigenvalues; one that
     equals its adjoint entry for entry goes in as it is, since
@@ -201,10 +201,10 @@ def hermitian_spectral(a, tol: float = HERMITICITY_TOL):
         defect = np.max(np.abs(m - adj), axis=(-2, -1))
     else:
         defect = np.zeros(m.shape[:-2])
-    over = np.flatnonzero(defect > tol)
+    over = np.flatnonzero(defect > HERMITICITY_TOL)
     if over.size:
         worst = float(np.ravel(defect)[over[0]])
-        raise HermiticityError(f"matrix is not Hermitian: max |M - M^dag| = {worst:.3e} > {tol:.1e}")
+        raise HermiticityError(f"matrix is not Hermitian: max |M - M^dag| = {worst:.3e} > {HERMITICITY_TOL:.1e}")
     asymmetric = defect != 0
     if np.any(asymmetric):
         m = np.where(asymmetric[..., None, None], 0.5 * (m + adj), m)
@@ -364,7 +364,7 @@ def monomial_epsilon(m: np.ndarray, norm_m: float, unitaries: list) -> float:
 LOCALIZATION_TOL = 1e-10
 
 
-def assert_localized(a: DenseOperator, within: SiteSupport, geom: ChainGeometry, tol: float = LOCALIZATION_TOL) -> None:
+def assert_localized(a: DenseOperator, within: SiteSupport, geom: ChainGeometry) -> None:
     """Optional validator: `a` must act as the identity outside `within`.
 
     Declared supports are taken on trust everywhere else; this check embeds
@@ -376,8 +376,8 @@ def assert_localized(a: DenseOperator, within: SiteSupport, geom: ChainGeometry,
         raise SupportError(f"{within} and the declared support {a.support} are not nested")
     full = embed_local(a, geom.full_support, geom)
     eps = local_commutator_epsilon(full, within, geom)
-    if eps > tol:
+    if eps > LOCALIZATION_TOL:
         raise SupportError(
             f"operator declared on {a.support} does not act as the identity outside {within}: "
-            f"worst normalized commutator with the complement algebra is {eps:.3e} > {tol:.1e}"
+            f"worst normalized commutator with the complement algebra is {eps:.3e} > {LOCALIZATION_TOL:.1e}"
         )

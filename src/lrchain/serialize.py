@@ -15,6 +15,7 @@ inputs, which the reproducibility tests rely on.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import NamedTuple
@@ -51,6 +52,11 @@ def render_csv(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(csv_line(row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def record_fields(record) -> dict:
+    """A dataclass record as {field name: value}, in field order; `dataclasses.asdict` would deep-copy each value."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
 def _json_default(x):

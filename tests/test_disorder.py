@@ -14,6 +14,8 @@ from lrchain.disorder import (
     SWEEP_CSV_HEADER,
     DisorderConfig,
     SparseFieldChain,
+    SweepReport,
+    SweepRow,
     default_epsilon,
     heisenberg_bond,
     large_deviation_indicator,
@@ -481,6 +483,25 @@ class TestMonteCarloSweep:
         assert rep.violation_count == sum(1 for r in rep.rows if r.violated)
         assert rep.event_frequency == rep.event_count / cfg.n_realizations
 
+    def test_hand_built_report_counts_its_rows(self):
+        # realization 0 has the event at both times, one row checked and violated; realization 1 has no event
+        rows = (
+            SweepRow(0, 11, 0.25, True, 0.5, 0.1, True, True),
+            SweepRow(0, 11, 0.5, True, 0.05, 0.1, True, False),
+            SweepRow(1, 12, 0.25, False, 0.5, 0.1, False, False),
+            SweepRow(1, 12, 0.5, False, 0.5, 0.1, False, False),
+        )
+        cfg = config(n_realizations=2, t_grid=(0.25, 0.5))
+        rep = SweepReport(cfg.echo(), lr_parameters(cfg), 1.0, "test", rows, None)
+        assert not {"event_count", "applicable_count", "violation_count"} & {
+            f.name for f in dataclasses.fields(SweepReport)
+        }
+        assert (rep.event_count, rep.applicable_count, rep.violation_count) == (1, 2, 1)
+        assert rep.event_frequency == 0.5
+        doc = rep.to_json_doc()
+        assert (doc["event_count"], doc["applicable_row_count"], doc["violation_count"]) == (1, 2, 1)
+        assert "violations: 1" in rep.summary_lines()[2]
+
     def test_tiny_epsilon_forces_event(self):
         # every draw is >= 1, so a threshold below 1 makes the event certain
         cfg = config(L=3, n_realizations=4, epsilon=1e-3)
@@ -585,6 +606,13 @@ class TestMonteCarloSweep:
         assert doc["wall_time_ms"] == 12.5
         assert doc["n_realizations"] == 2
         assert len(doc["rows"]) == len(rep.rows)
+        names = [f.name for f in dataclasses.fields(SweepRow)]
+        assert [list(row) for row in doc["rows"]] == [names] * len(rep.rows)
+        assert doc["config"] == {
+            "mu": 1.0, "J": 1.0, "a": 0.25, "b": 0.5, "L": 3, "n_realizations": 2, "seed": 7, "t_grid": [0.5],
+            "L_exact": 3, "epsilon": None, "spacing": 2, "field_sites": [-2, 0, 2],
+            "event_sites": [-6, -4, -2, 0, 2, 4, 6],
+        }
         lo, hi = rep.wilson_95()
         assert doc["wilson_95"] == [lo, hi]
         json.loads(rep.to_json())  # emitted text is valid JSON

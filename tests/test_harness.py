@@ -227,6 +227,9 @@ class TestExperimentConfig:
             ({**base, "seed": True}, r"seed: expected an integer"),
             ({**base, "bounds": ["main", 3]}, r"bounds\[1\]: expected a string"),
             ({**base, "observable_a": {"site": 1.0, "op": "sz"}}, r"observable_a\.site: expected an integer"),
+            ({**base, "seed": -5}, r"cfg\.json: seed must fit in 64 bits, got -5"),
+            ({**base, "seed": 2**64}, r"cfg\.json: seed must fit in 64 bits, got 18446744073709551616"),
+            ({**base, "mu": -1}, r"cfg\.json: mu must be positive, got -1\.0"),
         ]
         p = tmp_path / "cfg.json"
         for doc, pattern in cases:
@@ -364,6 +367,19 @@ class TestRunVerify:
         doc = report.to_json_doc()
         assert "too close" in doc["records"][0]["bounds"]["main"]["reason"]
 
+    def test_totals_are_not_stored(self, rng):
+        report = run_verify(make_config(rng, t_grid=(0.5,)), write=False)
+        assert not {"violations", "improvement_points"} & {f.name for f in dataclasses.fields(VerifyReport)}
+        assert report.violations == () and report.improvement_points == ()
+
+    def test_numpy_integer_window_serializes(self, rng):
+        clean = run_verify(make_config(rng, t_grid=(0.5,)), write=False)
+        outcome = BoundOutcome(1.0, True, None, (np.int64(0),), 2.0)
+        record = ExperimentRecord(0.5, 6, 1, 0.1, (("apriori", BoundOutcome(3.0, True)), ("main", outcome)), 0.1)
+        report = dataclasses.replace(clean, bound_set=("apriori", "main"), records=(record,))
+        main = json.loads(report.to_json())["records"][0]["bounds"]["main"]
+        assert main == {"value": 1.0, "applicable": True, "reason": None, "window": [0], "prefactor_product": 2.0}
+
 
 class TestImprovementPoints:
     def fabricated(self, main_value, apriori_value, window=(0,), applicable=True):
@@ -402,13 +418,12 @@ class TestImprovementPoints:
             parameters=clean.parameters,
             bound_set=("apriori",),
             records=(bad_record,),
-            improvement_points=(),
-            violations=tuple(msgs),
             spectral_blocks=clean.spectral_blocks,
             reconstruction_residual=clean.reconstruction_residual,
             exact_norms_ms=clean.exact_norms_ms,
         )
         assert not report.ok
+        assert report.violations == tuple(msgs) and report.improvement_points == ()
         dump = report.diagnostic_dump()
         assert any(line.startswith("VIOLATION:") for line in dump)
         assert any("apriori" in line for line in dump)
@@ -517,6 +532,8 @@ class TestRunIdentities:
         doc = json.loads((tmp_path / "ids.json").read_text())
         assert doc["decoupling_site"] == 0
         assert {c["status"] for c in doc["checks"]} <= {"pass", "skipped"}
+        names = [f.name for f in dataclasses.fields(IdentityCheck)]
+        assert [list(c) for c in doc["checks"]] == [names] * len(report.checks)
 
     def test_identity_check_status_rule(self):
         assert IdentityCheck.measured("x", 1e-12, 1e-9).status == "pass"
@@ -620,8 +637,10 @@ class TestCli:
             ({"mu": [1.0], "phi_norm": 3.0, "D": 2.7}, "D: expected an integer, got 2.7"),
             ({"mu": [1.0, "2"], "phi_norm": 3.0, "D": 2}, "mu[1]: expected a number, got '2'"),
             ({"mu": [1.0], "phi_norm": 3.0, "D": 2, "R": 5}, "unknown keys ['R']"),
+            ({"mu": [1.0], "phi_norm": 3.0, "D": 0}, "c.json: local dimension must be >= 2, got 0"),
+            ({"mu": [1.0], "phi_norm": 3.0, "D": 2, "radius": 0}, "c.json: radius must be positive, got 0"),
         ],
-        ids=["radius-string", "radius-bool", "D-float", "mu-entry", "unknown-key"],
+        ids=["radius-string", "radius-bool", "D-float", "mu-entry", "unknown-key", "D-zero", "radius-zero"],
     )
     def test_constants_config_errors_are_exit_two(self, tmp_path, capsys, doc, message):
         p = tmp_path / "c.json"
