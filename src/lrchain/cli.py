@@ -20,6 +20,7 @@ import dataclasses
 import sys
 import time
 
+from .bounds import ConvergenceError
 from .disorder import DisorderConfig, monte_carlo_sweep
 from .harness import (
     CONSTANTS_CSV_HEADER,
@@ -123,7 +124,7 @@ def _cmd_constants(args) -> int:
 
     try:
         rows = constants_rows(mus, phi_norm, local_dim, radius)
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
         if not args.config:
             raise
         raise ConfigError(f"{args.config}: {exc}") from exc
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
     except (ConfigError, ModelFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

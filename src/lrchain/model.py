@@ -14,6 +14,7 @@ impurity eigenspaces and makes the two half-chains evolve independently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,9 @@ class SiteImpurity:
     projectors: np.ndarray    # (D, D, D) rank-one, orthogonal, complete
 
     def __post_init__(self):
+        if not hasattr(self.site, "__index__"):
+            raise ValueError(f"impurity site must be an integer, got {self.site!r}")
+        object.__setattr__(self, "site", operator.index(self.site))
         evals = np.asarray(self.eigenvalues, dtype=float)
         projs = np.asarray(self.projectors, dtype=complex)
         d = evals.shape[0]
@@ -260,16 +264,19 @@ def impurity_window(support_a: SiteSupport, support_b: SiteSupport, imp: Impurit
     return tuple(x for x in imp.sites if lo <= x <= hi)
 
 
-def build_nn_hamiltonian(phi: NNInteraction, geom: ChainGeometry) -> DenseOperator:
-    """Sum of all bond terms, embedded on the full chain."""
+def _chain_sum(terms, geom: ChainGeometry) -> DenseOperator:
+    """Embed each local term on the full chain and add them up in the order given."""
     full = geom.full_support
     h = np.zeros((geom.total_dim, geom.total_dim), dtype=complex)
-    for x in range(-geom.half_length, geom.half_length):
-        b = phi.bond(x)
-        if not np.any(b):
-            continue
-        h += embed_local(DenseOperator(SiteSupport(x, x + 1), b), full, geom).matrix
+    for term in terms:
+        h += embed_local(term, full, geom).matrix
     return DenseOperator(full, h)
+
+
+def build_nn_hamiltonian(phi: NNInteraction, geom: ChainGeometry) -> DenseOperator:
+    """Sum of all bond terms, embedded on the full chain."""
+    bonds = range(-geom.half_length, geom.half_length)
+    return _chain_sum([phi.bond_operator(x) for x in bonds if np.any(phi.bond(x))], geom)
 
 
 def perturbation_operator(imp: ImpuritySpec, geom: ChainGeometry, exclude: int | None = None) -> DenseOperator:
@@ -278,17 +285,15 @@ def perturbation_operator(imp: ImpuritySpec, geom: ChainGeometry, exclude: int |
     `exclude` drops one site from the sum, which is the perturbation seen by
     the chain decoupled at that site.
     """
-    full = geom.full_support
-    h = np.zeros((geom.total_dim, geom.total_dim), dtype=complex)
+    terms = []
     for i in imp.impurities:
         if i.site == exclude:
             continue
         geom.check_site(i.site)
         if i.local_dim != geom.local_dim:
             raise ValueError(f"impurity at site {i.site} has local dimension {i.local_dim}, chain has {geom.local_dim}")
-        term = DenseOperator.single_site(i.site, imp.coupling(i.site) * i.matrix())
-        h += embed_local(term, full, geom).matrix
-    return DenseOperator(full, h)
+        terms.append(DenseOperator.single_site(i.site, imp.coupling(i.site) * i.matrix()))
+    return _chain_sum(terms, geom)
 
 
 def build_perturbed_hamiltonian(phi: NNInteraction, imp: ImpuritySpec, geom: ChainGeometry) -> DenseOperator:
@@ -316,9 +321,22 @@ def _window_terms(phi: NNInteraction, site: int, geom: ChainGeometry):
     return left + right
 
 
-def _window_projector(impurity: SiteImpurity, j: int, geom: ChainGeometry) -> np.ndarray:
-    d = geom.local_dim
-    return np.kron(np.kron(identity_matrix(d), impurity.projectors[j]), identity_matrix(d))
+def _window_block(raw: np.ndarray, impurity: SiteImpurity, j: int, k: int, d: int) -> np.ndarray:
+    """P_j raw P_k on the window [site-1, site+1], the projectors acting on its middle site."""
+    eye = identity_matrix(d)
+    pj = np.kron(np.kron(eye, impurity.projectors[j]), eye)
+    pk = np.kron(np.kron(eye, impurity.projectors[k]), eye)
+    return pj @ raw @ pk
+
+
+def _compressed_bond(phi: NNInteraction, impurity: SiteImpurity, x: int, geom: ChainGeometry) -> DenseOperator:
+    """Bond (x, x+1), one end of which is the impurity site, compressed to sum_j P_j (bond) P_j."""
+    eye = identity_matrix(geom.local_dim)
+    sandwich = np.zeros_like(phi.bond(x))
+    for proj in impurity.projectors:
+        p = np.kron(eye, proj) if x + 1 == impurity.site else np.kron(proj, eye)
+        sandwich += p @ phi.bond(x) @ p
+    return DenseOperator(SiteSupport(x, x + 1), sandwich)
 
 
 def build_decoupled_hamiltonian(phi: NNInteraction, imp: ImpuritySpec, site: int, geom: ChainGeometry) -> DenseOperator:
@@ -332,14 +350,9 @@ def build_decoupled_hamiltonian(phi: NNInteraction, imp: ImpuritySpec, site: int
     full = geom.full_support
     window = SiteSupport(site - 1, site + 1)
     raw = _window_terms(phi, site, geom)
-    compressed = np.zeros_like(raw)
-    for j in range(geom.local_dim):
-        p = _window_projector(impurity, j, geom)
-        compressed += p @ raw @ p
-    h = build_nn_hamiltonian(phi, geom).matrix
-    h = h - embed_local(DenseOperator(window, raw), full, geom).matrix
-    h = h + embed_local(DenseOperator(window, compressed), full, geom).matrix
-    return DenseOperator(full, h)
+    compressed = sum(_window_block(raw, impurity, j, j, geom.local_dim) for j in range(geom.local_dim))
+    h = build_nn_hamiltonian(phi, geom) - embed_local(DenseOperator(window, raw), full, geom)
+    return h + embed_local(DenseOperator(window, compressed), full, geom)
 
 
 def decoupled_split(phi: NNInteraction, imp: ImpuritySpec, site: int, geom: ChainGeometry):
@@ -352,36 +365,10 @@ def decoupled_split(phi: NNInteraction, imp: ImpuritySpec, site: int, geom: Chai
     and sum to `build_decoupled_hamiltonian`.
     """
     impurity = _check_decoupling_site(imp, site, geom)
-    d = geom.local_dim
-    full = geom.full_support
     L = geom.half_length
-
-    left_support = SiteSupport(-L, site)
-    dim_left = geom.dim_of(left_support)
-    left = np.zeros((dim_left, dim_left), dtype=complex)
-    for y in range(-L, site - 1):
-        left += embed_local(phi.bond_operator(y), left_support, geom).matrix
-    sandwich = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        p = np.kron(identity_matrix(d), impurity.projectors[j])
-        sandwich += p @ phi.bond(site - 1) @ p
-    left += embed_local(DenseOperator(SiteSupport(site - 1, site), sandwich), left_support, geom).matrix
-
-    right_support = SiteSupport(site, L)
-    dim_right = geom.dim_of(right_support)
-    right = np.zeros((dim_right, dim_right), dtype=complex)
-    sandwich = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        p = np.kron(impurity.projectors[j], identity_matrix(d))
-        sandwich += p @ phi.bond(site) @ p
-    right += embed_local(DenseOperator(SiteSupport(site, site + 1), sandwich), right_support, geom).matrix
-    for y in range(site + 1, L):
-        right += embed_local(phi.bond_operator(y), right_support, geom).matrix
-
-    return (
-        embed_local(DenseOperator(left_support, left), full, geom),
-        embed_local(DenseOperator(right_support, right), full, geom),
-    )
+    left = [phi.bond_operator(y) for y in range(-L, site - 1)] + [_compressed_bond(phi, impurity, site - 1, geom)]
+    right = [_compressed_bond(phi, impurity, site, geom)] + [phi.bond_operator(y) for y in range(site + 1, L)]
+    return _chain_sum(left, geom), _chain_sum(right, geom)
 
 
 def offdiagonal_block(phi: NNInteraction, imp: ImpuritySpec, site: int, j: int, k: int, geom: ChainGeometry) -> DenseOperator:
@@ -398,9 +385,7 @@ def offdiagonal_block(phi: NNInteraction, imp: ImpuritySpec, site: int, j: int, 
     if j == k:
         raise ValueError("off-diagonal block needs j != k; the diagonal blocks stay in the decoupled part")
     raw = _window_terms(phi, site, geom)
-    pj = _window_projector(impurity, j, geom)
-    pk = _window_projector(impurity, k, geom)
-    return DenseOperator(SiteSupport(site - 1, site + 1), pj @ raw @ pk)
+    return DenseOperator(SiteSupport(site - 1, site + 1), _window_block(raw, impurity, j, k, d))
 
 
 # ---------------------------------------------------------------------------

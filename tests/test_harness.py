@@ -263,6 +263,14 @@ class TestRunVerify:
         assert diagonal.spectral_blocks == (1,) * dim
         assert diagonal.records[0].exact_norm == 0.0
 
+    def test_numpy_integer_impurity_site(self, rng):
+        # a site given as a numpy integer is stored as an int, so the run
+        # matches the one with a plain int site byte for byte
+        cfg = make_config(rng, t_grid=(0.1, 0.5))
+        np_site = dataclasses.replace(cfg, imp=ImpuritySpec.uniform([np.int64(0)], np.diag([1.0, -1.0]), 5.0))
+        assert type(np_site.imp.sites[0]) is int
+        assert run_verify(np_site, write=False).to_csv() == run_verify(cfg, write=False).to_csv()
+
     def test_sector_joining_pair(self):
         # sx at both edges joins every S^z sector of a Heisenberg chain with
         # an sz impurity, so the exact norms come from one group over the
@@ -639,8 +647,13 @@ class TestCli:
             ({"mu": [1.0], "phi_norm": 3.0, "D": 2, "R": 5}, "unknown keys ['R']"),
             ({"mu": [1.0], "phi_norm": 3.0, "D": 0}, "c.json: local dimension must be >= 2, got 0"),
             ({"mu": [1.0], "phi_norm": 3.0, "D": 2, "radius": 0}, "c.json: radius must be positive, got 0"),
+            (
+                {"mu": [1.0], "phi_norm": 3.0, "D": 2, "radius": 5},
+                "c.json: lattice sums did not converge at radius 5 for mu = 1.0",
+            ),
         ],
-        ids=["radius-string", "radius-bool", "D-float", "mu-entry", "unknown-key", "D-zero", "radius-zero"],
+        ids=["radius-string", "radius-bool", "D-float", "mu-entry", "unknown-key", "D-zero", "radius-zero",
+             "radius-unconverged"],
     )
     def test_constants_config_errors_are_exit_two(self, tmp_path, capsys, doc, message):
         p = tmp_path / "c.json"
@@ -651,6 +664,13 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("config error: ") and message in captured.err
         assert "Traceback" not in captured.err
+
+    def test_constants_unconverged_radius_flag_is_exit_two(self, capsys):
+        code = cli_main(["constants", "--mu", "1", "--phi-norm", "3", "--local-dim", "2", "--radius", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: lattice sums did not converge at radius 5 for mu = 1.0\n"
 
     def test_verify_stdout_and_exit_zero(self, cli_model, capsys):
         code = cli_main(["verify", "--config", str(cli_model / "experiment.json")])

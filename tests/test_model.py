@@ -98,6 +98,12 @@ class TestSiteImpurity:
         assert np.allclose(imp.matrix(), m)
         assert np.all(np.diff(imp.eigenvalues) > 0)
 
+    def test_site_is_a_python_int(self):
+        imp = SiteImpurity.from_hermitian(np.int64(-2), PAULI["sz"])
+        assert imp.site == -2 and type(imp.site) is int
+        with pytest.raises(ValueError, match="impurity site must be an integer, got 0.5"):
+            SiteImpurity.from_hermitian(0.5, PAULI["sz"])
+
     def test_gap(self):
         imp = SiteImpurity.from_hermitian(0, np.diag([0.0, 1.5, 5.0]))
         assert abs(imp.gap - 1.5) <= 1e-12
@@ -216,6 +222,40 @@ class TestHamiltonianBuilders:
         )
         assert np.allclose(without_right.matrix, lone.matrix)
         assert not np.allclose(both.matrix, without_right.matrix)
+
+    def test_builders_add_embedded_terms_in_site_order(self, rng):
+        # bit for bit: each builder adds its embedded local terms from the
+        # left end of the chain to the right; sx projectors are not diagonal
+        geom = ChainGeometry(3, 2)
+        phi = NNInteraction(geom, bonds=random_bonds(rng, geom))
+        couplings = {-2: 1.5, 0: 4.0, 1: -2.0}
+        spec = ImpuritySpec.uniform(list(couplings), PAULI["sx"], couplings)
+        eye, projs = np.eye(2), spec.at(0).projectors
+
+        def site_order_sum(terms):
+            h = np.zeros((geom.total_dim, geom.total_dim), dtype=complex)
+            for term in terms:
+                h += embed_local(term, geom.full_support, geom).matrix
+            return h
+
+        def bond(x, matrix=None):
+            return DenseOperator(SiteSupport(x, x + 1), phi.bond(x) if matrix is None else matrix)
+
+        def field(x):
+            return DenseOperator.single_site(x, couplings[x] * spec.at(x).matrix())
+
+        left_bond = sum(np.kron(eye, p) @ phi.bond(-1) @ np.kron(eye, p) for p in projs)
+        right_bond = sum(np.kron(p, eye) @ phi.bond(0) @ np.kron(p, eye) for p in projs)
+        left, right = decoupled_split(phi, spec, 0, geom)
+        pairs = [
+            (build_nn_hamiltonian(phi, geom), [bond(x) for x in range(-3, 3)]),
+            (perturbation_operator(spec, geom), [field(x) for x in (-2, 0, 1)]),
+            (perturbation_operator(spec, geom, exclude=0), [field(x) for x in (-2, 1)]),
+            (left, [bond(-3), bond(-2), bond(-1, left_bond)]),
+            (right, [bond(0, right_bond), bond(1), bond(2)]),
+        ]
+        for got, terms in pairs:
+            assert np.array_equal(got.matrix, site_order_sum(terms))
 
     def test_qutrit_oracle(self, rng):
         geom = ChainGeometry(1, 3)
