@@ -75,7 +75,7 @@ def main() -> None:
         tuple(float(x) for x in np.linspace(0.2 / params.v, 5.0 / params.v, 8)),
         bound_set=("apriori", "main"),
     )
-    report = run_verify(cfg, write=False)
+    report = run_verify(cfg)
     for line in report.summary_lines():
         print(line)
 

@@ -60,7 +60,7 @@ def main() -> int:
         f"impurity diag(1,-1) at site 0 with coupling {COUPLING}"
     )
     print()
-    report = run_identities(cfg, write=False)
+    report = run_identities(cfg)
     for line in report.summary_lines():
         print(line)
     print()

@@ -40,7 +40,6 @@ from .geometry import ChainGeometry, SiteSupport, SupportError
 from .model import (
     ImpuritySpec,
     NNInteraction,
-    build_decoupled_hamiltonian,
     build_nn_hamiltonian,
     build_perturbed_hamiltonian,
     decoupled_split,
@@ -555,13 +554,14 @@ def pick_decoupling_site(cfg: ExperimentConfig) -> int:
     )
 
 
-def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesReport:
+def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
     """Replay the identity suite behind the impurity-improved bound.
 
     Geometry problems (no usable impurity site, overlapping supports) are
     reported as per-check errors, not raised, so one bad identity never
     hides the rest.  Exit-code policy is the caller's: `ok` is true iff
-    every check passed or was skipped.
+    every check passed or was skipped.  When the config carries an output
+    prefix, the CSV and its JSON mirror are written there.
     """
     start = time.perf_counter()
     checks = []
@@ -589,29 +589,28 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
 
     def check_split():
         left, right = decoupled_split(phi, imp, site, geom)
-        total = build_decoupled_hamiltonian(phi, imp, site, geom)
-        r1 = operator_norm((left + right - total).matrix)
+        r1 = operator_norm((left + right - dd.bare).matrix)
         r2 = operator_norm(commutator(left, right).matrix)
         return max(r1, r2), "left + right reassembly and [left, right] = 0"
 
     def check_blocks():
-        diff = (build_nn_hamiltonian(phi, geom) - build_decoupled_hamiltonian(phi, imp, site, geom)).matrix
+        diff = (build_nn_hamiltonian(phi, geom) - dd.bare).matrix
         acc = np.zeros_like(diff)
-        for j, k in dd.block_pairs():
-            acc += dd.block(j, k).matrix
+        for block in dd.blocks.values():
+            acc += block.matrix
         return operator_norm(acc - diff), "off-diagonal blocks sum to the decoupling defect"
 
     def check_phase():
         res = 0.0
-        for j, k in dd.block_pairs():
+        for (j, k), block in dd.blocks.items():
             for s in (0.3 * t, 0.7 * t, t):
-                lhs = dd.decoupled.evolve(dd.block(j, k), s)
-                rhs = dd.phase(j, k, s) * dd.reduced.evolve(dd.block(j, k), s)
+                lhs = dd.decoupled.evolve(block, s)
+                rhs = dd.phase(j, k, s) * dd.reduced.evolve(block, s)
                 res = max(res, operator_norm((lhs - rhs).matrix))
         return res, "decoupled evolution = phase * reduced evolution on each block"
 
     def check_endpoint():
-        res = max(dd.interpolant_norm(a, b, j, k, t, t) for j, k in dd.block_pairs())
+        res = max(operator_norm(dd.interpolant(a, b, j, k, t, t)) for j, k in dd.blocks)
         return res, "interpolant vanishes at s = t"
 
     # (step, FD residual, Richardson residual) from one analytic derivative and the step-h and step-h/2
@@ -621,7 +620,7 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
         s = 0.4 * t
         step = dd.fd_step()
         fd_worst = richardson_worst = 0.0
-        for j, k in dd.block_pairs():
+        for j, k in dd.blocks:
             analytic = dd.interpolant_derivative(a, b, j, k, s, t)
             fd1 = dd.interpolant_derivative_fd(a, b, j, k, s, t, step=step)
             fd2 = dd.interpolant_derivative_fd(a, b, j, k, s, t, step=0.5 * step)
@@ -670,7 +669,7 @@ def run_identities(cfg: ExperimentConfig, write: bool = True) -> IdentitiesRepor
 
     wall = (time.perf_counter() - start) * 1e3
     report = IdentitiesReport(config=cfg.echo(), site=site, t=t, checks=tuple(checks), wall_time_ms=wall)
-    if write and cfg.out is not None:
+    if cfg.out is not None:
         write_report(cfg.out, report.to_csv(), report.to_json())
     return report
 

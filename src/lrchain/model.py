@@ -144,11 +144,6 @@ class SiteImpurity:
         """Spectrally decompose a Hermitian D x D matrix into impurity data."""
         m = _check_hermitian(matrix, f"impurity matrix at site {site}")
         evals, u = hermitian_spectral(m)
-        if np.min(np.diff(evals)) < DEGENERACY_TOL:
-            raise ValueError(
-                f"impurity matrix at site {site} has eigenvalues closer than {DEGENERACY_TOL:.0e}; "
-                "degenerate on-site terms are not supported"
-            )
         projs = np.stack([np.outer(u[:, j], u[:, j].conj()) for j in range(m.shape[0])])
         return cls(site, evals, projs)
 
@@ -174,7 +169,7 @@ class ImpuritySpec:
         sites = [i.site for i in imps]
         if len(set(sites)) != len(sites):
             raise ValueError(f"duplicate impurity sites: {sites}")
-        couplings = dict(couplings or {})
+        couplings = {operator.index(x): lam for x, lam in dict(couplings or {}).items()}
         if set(couplings) != set(sites):
             raise ValueError(
                 f"couplings must be given for exactly the impurity sites {sites}, "
@@ -265,12 +260,14 @@ def impurity_window(support_a: SiteSupport, support_b: SiteSupport, imp: Impurit
 
 
 def _chain_sum(terms, geom: ChainGeometry) -> DenseOperator:
-    """Embed each local term on the full chain and add them up in the order given."""
-    full = geom.full_support
-    h = np.zeros((geom.total_dim, geom.total_dim), dtype=complex)
+    """Add the terms in the order given on the smallest interval holding them all; embed that sum on the full chain."""
+    if not terms:
+        return DenseOperator(geom.full_support, np.zeros((geom.total_dim, geom.total_dim), dtype=complex))
+    span = SiteSupport(min(term.support.lo for term in terms), max(term.support.hi for term in terms))
+    h = np.zeros((geom.dim_of(span), geom.dim_of(span)), dtype=complex)
     for term in terms:
-        h += embed_local(term, full, geom).matrix
-    return DenseOperator(full, h)
+        h += embed_local(term, span, geom).matrix
+    return embed_local(DenseOperator(span, h), geom.full_support, geom)
 
 
 def build_nn_hamiltonian(phi: NNInteraction, geom: ChainGeometry) -> DenseOperator:

@@ -119,20 +119,20 @@ def test_criterion_1a_proof_identities():
                 operator_norm(commutator(left, right)),
             )
             defect = (build_nn_hamiltonian(phi, geom) - total).matrix
-            acc = sum(dd.block(j, k).matrix for j, k in dd.block_pairs())
+            acc = sum(block.matrix for block in dd.blocks.values())
             residuals["block decomposition"] = operator_norm(
                 DenseOperator(geom.full_support, acc - defect)
             )
             phase_res = 0.0
-            for j, k in dd.block_pairs():
+            for (j, k), block in dd.blocks.items():
                 for s in (0.3 * t_max, 0.7 * t_max, t_max):
-                    lhs = dd.decoupled.evolve(dd.block(j, k), s)
-                    rhs = dd.phase(j, k, s) * dd.reduced.evolve(dd.block(j, k), s)
+                    lhs = dd.decoupled.evolve(block, s)
+                    rhs = dd.phase(j, k, s) * dd.reduced.evolve(block, s)
                     phase_res = max(phase_res, operator_norm(lhs - rhs))
             residuals["phase conjugation"] = phase_res
             residuals["interpolant endpoint"] = max(
-                dd.interpolant_norm(a, b, j, k, t, t)
-                for j, k in dd.block_pairs()
+                operator_norm(dd.interpolant(a, b, j, k, t, t))
+                for j, k in dd.blocks
                 for t in SUITE_T
             )
             for name, res in residuals.items():
@@ -173,7 +173,7 @@ def test_criterion_1b_derivative_vs_finite_difference():
             for s in (0.1, 0.3):
                 rel = absdiff = 0.0
                 scale = np.inf
-                for j, k in dd.block_pairs():
+                for j, k in dd.blocks:
                     analytic = dd.interpolant_derivative(a, b, j, k, s, t)
                     fd = dd.interpolant_derivative_fd(a, b, j, k, s, t, step=step)
                     norm = operator_norm(analytic)
@@ -273,7 +273,7 @@ def test_criterion_3_improvement_found_by_harness():
     for coupling in (1.0e8, 50.0):
         imp = ImpuritySpec.uniform([0], GAP_MATRIX, coupling)
         cfg = ExperimentConfig(geom, phi, imp, MU, obs_a, obs_b, grid, bound_set=("apriori", "main"))
-        report = run_verify(cfg, write=False)
+        report = run_verify(cfg)
         params = cfg.parameters()
         floor = main_constant(params, 2) * MU * d / (params.C0 * coupling * gap)
         ratios = [

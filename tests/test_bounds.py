@@ -427,7 +427,7 @@ class TestBoundReport:
         cfg = ExperimentConfig(
             geom, phi, imp, 1.0, ObservableSpec(-4, sz, "sz"), ObservableSpec(4, sz, "sz"), (0.5,)
         )
-        rep = run_verify(cfg, write=False).records[0]
+        rep = run_verify(cfg).records[0]
         p = cfg.parameters()
         assert rep.t == 0.5 and rep.distance == 8 and rep.window_size == 1
         assert rep.bound("main").prefactor_product == 100.0

@@ -1,11 +1,14 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 
 import numpy as np
 import pytest
 
+import lrchain
 from lrchain.bounds import BoundOutcome, LRParameters, apriori_bound
 from lrchain.cli import _cmd_constants, build_parser
 from lrchain.cli import main as cli_main
@@ -30,7 +33,7 @@ from lrchain.harness import (
     write_report,
 )
 from lrchain.disorder import heisenberg_bond
-from lrchain.model import ImpuritySpec, NNInteraction, build_perturbed_hamiltonian
+from lrchain.model import ImpuritySpec, NNInteraction, build_decoupled_hamiltonian, build_perturbed_hamiltonian
 from lrchain.operators import PAULI, commutator, embed_local, operator_norm
 from util import assert_json_object_errors, random_hermitian
 
@@ -247,7 +250,7 @@ class TestExperimentConfig:
 class TestRunVerify:
     def test_zero_time_point(self, rng):
         cfg = make_config(rng, t_grid=(0.0,))
-        report = run_verify(cfg, write=False)
+        report = run_verify(cfg)
         rec = report.records[0]
         assert rec.exact_norm == 0.0
         assert rec.bound("apriori").value == 0.0
@@ -258,8 +261,8 @@ class TestRunVerify:
         # diagonal, one block per basis state, and every norm is exactly 0
         cfg = make_config(rng, t_grid=(0.5,))
         dim = cfg.geom.total_dim
-        assert run_verify(cfg, write=False).spectral_blocks == (dim,)
-        diagonal = run_verify(make_config(rng, t_grid=(0.5,), zero_bonds=True), write=False)
+        assert run_verify(cfg).spectral_blocks == (dim,)
+        diagonal = run_verify(make_config(rng, t_grid=(0.5,), zero_bonds=True))
         assert diagonal.spectral_blocks == (1,) * dim
         assert diagonal.records[0].exact_norm == 0.0
 
@@ -269,7 +272,7 @@ class TestRunVerify:
         cfg = make_config(rng, t_grid=(0.1, 0.5))
         np_site = dataclasses.replace(cfg, imp=ImpuritySpec.uniform([np.int64(0)], np.diag([1.0, -1.0]), 5.0))
         assert type(np_site.imp.sites[0]) is int
-        assert run_verify(np_site, write=False).to_csv() == run_verify(cfg, write=False).to_csv()
+        assert run_verify(np_site).to_csv() == run_verify(cfg).to_csv()
 
     def test_sector_joining_pair(self):
         # sx at both edges joins every S^z sector of a Heisenberg chain with
@@ -284,7 +287,7 @@ class TestRunVerify:
         sx = np.array(PAULI["sx"])
         obs_a, obs_b = ObservableSpec(-half_length, sx, "sx"), ObservableSpec(half_length, sx, "sx")
         t_grid = (0.0, 0.3, 1.2, 2.5)
-        report = run_verify(ExperimentConfig(geom, phi, imp, 1.0, obs_a, obs_b, t_grid), write=False)
+        report = run_verify(ExperimentConfig(geom, phi, imp, 1.0, obs_a, obs_b, t_grid))
         n = geom.n_sites
         assert report.spectral_blocks == tuple(math.comb(n, k) for k in range(n + 1))
         assert 0.0 <= report.reconstruction_residual <= RECONSTRUCTION_TOL
@@ -302,7 +305,7 @@ class TestRunVerify:
         # L = 4 puts the observables 8 sites apart, satisfying the improved
         # bound's separation hypothesis (>= 7)
         cfg = make_config(rng, half_length=4, t_grid=(0.1, 0.5, 1.0))
-        report = run_verify(cfg, write=False)
+        report = run_verify(cfg)
         assert report.ok
         assert len(report.records) == 3
         for rec in report.records:
@@ -316,16 +319,16 @@ class TestRunVerify:
         # at L = 3 the edge observables sit only 6 apart: apriori still holds,
         # the improved bound reports why it cannot be applied
         cfg = make_config(rng, half_length=3, t_grid=(0.5,))
-        report = run_verify(cfg, write=False)
+        report = run_verify(cfg)
         assert report.ok
         main = report.records[0].bound("main")
         assert not main.applicable and "too close" in main.reason
 
     def test_rerun_and_threads_are_byte_identical(self, rng):
         cfg = make_config(rng, t_grid=(0.1, 0.3, 0.7))
-        first = run_verify(cfg, write=False)
-        second = run_verify(cfg, write=False)
-        threaded = run_verify(cfg, threads=3, write=False)
+        first = run_verify(cfg)
+        second = run_verify(cfg)
+        threaded = run_verify(cfg, threads=3)
         assert first.to_csv() == second.to_csv() == threaded.to_csv()
         # the JSON mirror carries wall-clock timings; everything else matches
         docs = [r.to_json_doc() for r in (first, second, threaded)]
@@ -336,7 +339,7 @@ class TestRunVerify:
 
     def test_csv_header_tracks_bound_set(self, rng):
         cfg = make_config(rng, bound_set=("apriori", "main", "single_impurity"))
-        report = run_verify(cfg, write=False)
+        report = run_verify(cfg)
         assert report.csv_header() == (
             "t", "dAB", "N", "exact_norm",
             "apriori", "main", "main_applicable",
@@ -368,7 +371,7 @@ class TestRunVerify:
             observable_a=ObservableSpec(-1, np.array(PAULI["sz"]), "sz"),
             observable_b=ObservableSpec(1, np.array(PAULI["sz"]), "sz"),
         )
-        report = run_verify(cfg, write=False)
+        report = run_verify(cfg)
         main = report.records[0].bound("main")
         assert not main.applicable
         assert "too close" in main.reason
@@ -376,12 +379,12 @@ class TestRunVerify:
         assert "too close" in doc["records"][0]["bounds"]["main"]["reason"]
 
     def test_totals_are_not_stored(self, rng):
-        report = run_verify(make_config(rng, t_grid=(0.5,)), write=False)
+        report = run_verify(make_config(rng, t_grid=(0.5,)))
         assert not {"violations", "improvement_points"} & {f.name for f in dataclasses.fields(VerifyReport)}
         assert report.violations == () and report.improvement_points == ()
 
     def test_numpy_integer_window_serializes(self, rng):
-        clean = run_verify(make_config(rng, t_grid=(0.5,)), write=False)
+        clean = run_verify(make_config(rng, t_grid=(0.5,)))
         outcome = BoundOutcome(1.0, True, None, (np.int64(0),), 2.0)
         record = ExperimentRecord(0.5, 6, 1, 0.1, (("apriori", BoundOutcome(3.0, True)), ("main", outcome)), 0.1)
         report = dataclasses.replace(clean, bound_set=("apriori", "main"), records=(record,))
@@ -414,7 +417,7 @@ class TestImprovementPoints:
 
     def test_report_flags_fabricated_violation(self, rng):
         cfg = make_config(rng, t_grid=(0.5,))
-        clean = run_verify(cfg, write=False)
+        clean = run_verify(cfg)
         bad_record = ExperimentRecord(
             0.5, 6, 1, exact_norm=10.0,
             bounds=(("apriori", BoundOutcome(1.0, True)),), wall_time_ms=0.1,
@@ -440,7 +443,7 @@ class TestImprovementPoints:
 class TestRunIdentities:
     def test_all_pass_on_clean_instance(self, rng):
         cfg = make_config(rng, half_length=3, coupling=5.0, t_grid=(0.25, 0.5))
-        report = run_identities(cfg, write=False)
+        report = run_identities(cfg)
         assert report.site == 0
         assert report.t == 0.5
         names = [c.name for c in report.checks]
@@ -465,7 +468,7 @@ class TestRunIdentities:
 
     def test_zero_interaction_residuals_vanish(self, rng):
         cfg = make_config(rng, zero_bonds=True, t_grid=(0.5,))
-        report = run_identities(cfg, write=False)
+        report = run_identities(cfg)
         assert report.ok
         for c in report.checks:
             if c.name.startswith("interpolant_derivative"):
@@ -474,7 +477,7 @@ class TestRunIdentities:
 
     def test_time_zero_skips_derivative_checks(self, rng):
         cfg = make_config(rng, t_grid=(0.0,))
-        report = run_identities(cfg, write=False)
+        report = run_identities(cfg)
         by_name = {c.name: c for c in report.checks}
         assert by_name["interpolant_derivative_fd"].status == "skipped"
         assert by_name["interpolant_derivative_richardson"].status == "skipped"
@@ -482,7 +485,7 @@ class TestRunIdentities:
 
     def test_adjacent_impurities_error_only_derivative_checks(self, rng):
         cfg = make_config(rng, impurity_sites=(0, 1), t_grid=(0.5,))
-        report = run_identities(cfg, write=False)
+        report = run_identities(cfg)
         by_name = {c.name: c for c in report.checks}
         assert by_name["interpolant_derivative_fd"].status == "error"
         assert "spacing" in by_name["interpolant_derivative_fd"].detail
@@ -495,7 +498,7 @@ class TestRunIdentities:
         # 1e-4 would leave a (100 * 1e-4)^2 / 6 ~ 1.7e-5 truncation error; the
         # frequency-scaled step keeps both derivative checks inside 1e-6
         cfg = make_config(rng, coupling=50.0, t_grid=(0.5,))
-        report = run_identities(cfg, write=False)
+        report = run_identities(cfg)
         by_name = {c.name: c for c in report.checks}
         for name in ("interpolant_derivative_fd", "interpolant_derivative_richardson"):
             assert by_name[name].status == "pass", by_name[name]
@@ -503,7 +506,7 @@ class TestRunIdentities:
 
     def test_projection_check_skipped_on_large_chain(self, rng):
         cfg = make_config(rng, half_length=4, t_grid=(0.5,))
-        report = run_identities(cfg, write=False)
+        report = run_identities(cfg)
         by_name = {c.name: c for c in report.checks}
         assert by_name["local_projection_inequality"].status == "skipped"
         assert "dimension" in by_name["local_projection_inequality"].detail
@@ -521,6 +524,23 @@ class TestRunIdentities:
             "interpolant_derivative_richardson",
         ):
             assert by_name[name].status == "pass", by_name[name]
+
+    def test_decoupled_hamiltonian_is_built_once(self, rng, monkeypatch):
+        # the identity checks read the bare decoupled Hamiltonian from
+        # DecoupledDynamics; count calls in every lrchain module that binds it
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_decoupled_hamiltonian(*args, **kwargs)
+
+        names = [f"lrchain.{m.name}" for m in pkgutil.iter_modules(lrchain.__path__)]
+        for module in [lrchain, *map(importlib.import_module, names)]:
+            if vars(module).get("build_decoupled_hamiltonian") is build_decoupled_hamiltonian:
+                monkeypatch.setattr(module, "build_decoupled_hamiltonian", counted)
+        report = run_identities(make_config(rng, t_grid=(0.5,)))
+        assert report.ok
+        assert len(calls) == 1
 
     def test_pick_decoupling_site(self, rng):
         cfg = make_config(rng, impurity_sites=(-1, 1))
@@ -574,7 +594,7 @@ class TestConstantsTable:
 class TestWriteReport:
     def test_creates_parent_directories(self, rng, tmp_path):
         cfg = make_config(rng, t_grid=(0.25,))
-        report = run_verify(cfg, write=False)
+        report = run_verify(cfg)
         prefix = tmp_path / "deep" / "nest" / "out"
         csv_path, json_path = write_report(str(prefix), report.to_csv(), report.to_json())
         assert os.path.exists(csv_path) and os.path.exists(json_path)

@@ -114,6 +114,11 @@ class TestSiteImpurity:
         # just above the cutoff is accepted
         SiteImpurity.from_hermitian(0, np.diag([1.0, 1.0 + 1e-7]))
 
+    def test_from_hermitian_reports_the_smallest_gap(self):
+        # one gap check, with one message, for matrices and spectral data alike
+        with pytest.raises(ValueError, match=r"degenerate within 1e-08 \(smallest gap 0\.000e\+00\)"):
+            SiteImpurity.from_hermitian(0, np.diag([1.0, 1.0]))
+
     def test_rejects_bad_projectors(self):
         evals = np.array([0.0, 1.0])
         good = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
@@ -139,6 +144,11 @@ class TestImpuritySpec:
         assert not spec.is_empty()
         assert spec.has(2) and not spec.has(1)
         assert spec.at(-2).site == -2
+
+    def test_coupling_keys_are_python_ints(self):
+        spec = ImpuritySpec.uniform([np.int64(0), np.int64(2)], PAULI["sz"], 50.0)
+        assert [type(x) for x in spec.couplings] == [int, int]
+        assert json.dumps(spec.couplings) == '{"0": 50.0, "2": 50.0}'
 
     def test_per_site_couplings_not_uniform(self):
         spec = ImpuritySpec.uniform([0, 2], PAULI["sz"], {0: 1.0, 2: 3.0})
@@ -224,8 +234,9 @@ class TestHamiltonianBuilders:
         assert not np.allclose(both.matrix, without_right.matrix)
 
     def test_builders_add_embedded_terms_in_site_order(self, rng):
-        # bit for bit: each builder adds its embedded local terms from the
-        # left end of the chain to the right; sx projectors are not diagonal
+        # entry for entry: each builder equals its local terms embedded on the
+        # full chain and added from the left end of the chain to the right;
+        # sx projectors are not diagonal, and no terms give the zero matrix
         geom = ChainGeometry(3, 2)
         phi = NNInteraction(geom, bonds=random_bonds(rng, geom))
         couplings = {-2: 1.5, 0: 4.0, 1: -2.0}
@@ -253,6 +264,8 @@ class TestHamiltonianBuilders:
             (perturbation_operator(spec, geom, exclude=0), [field(x) for x in (-2, 1)]),
             (left, [bond(-3), bond(-2), bond(-1, left_bond)]),
             (right, [bond(0, right_bond), bond(1), bond(2)]),
+            (build_nn_hamiltonian(NNInteraction.zero(geom), geom), []),
+            (perturbation_operator(ImpuritySpec.empty(), geom), []),
         ]
         for got, terms in pairs:
             assert np.array_equal(got.matrix, site_order_sum(terms))
