@@ -35,6 +35,11 @@ MAX_SERIES_RADIUS = 1 << 14
 VIOLATION_TOL = 1e-9
 
 
+def exceeds(exact: float, bound: float) -> bool:
+    """Whether an exact norm violates a bound: it is above it by more than `VIOLATION_TOL`."""
+    return exact > bound + VIOLATION_TOL
+
+
 class ConvergenceError(RuntimeError):
     """A lattice-sum scan did not resolve its maximizer inside the scan range."""
 
@@ -266,15 +271,17 @@ def uniform_impurity_bound(
 ) -> BoundOutcome:
     """Closed-form variant for a translation-invariant impurity family.
 
-    Requires every impurity to carry the same on-site matrix and the same
-    coupling; the per-impurity factor collapses to
+    Not applicable unless every impurity carries the same on-site matrix and
+    the same coupling; the per-impurity factor then collapses to
     (K mu d (1 + v|t|) / coupling)^N with K = main_constant / gap.  Always at
     least as large as `main_bound` on the same geometry.
     """
     if imp.is_empty():
-        raise ValueError("uniform impurity bound needs at least one impurity")
+        return BoundOutcome.not_applicable("uniform impurity bound needs at least one impurity")
     if not imp.is_uniform():
-        raise ValueError("uniform impurity bound needs identical on-site matrices and couplings at every site")
+        return BoundOutcome.not_applicable(
+            "uniform impurity bound needs identical on-site matrices and couplings at every site"
+        )
     failure = _hypothesis_failure(params, support_a, support_b, imp)
     if failure is not None:
         return BoundOutcome.not_applicable(failure)
@@ -337,6 +344,14 @@ def single_impurity_bound(
     return BoundOutcome(value, True, None, (site,), product)
 
 
+def _check_ordered(support_a: SiteSupport, support_w: SiteSupport, support_b: SiteSupport) -> None:
+    if not (support_a.hi < support_w.lo - 1 and support_w.hi < support_b.lo):
+        raise ValueError(
+            f"supports must be ordered with gaps: max S_A < min S_W - 1 <= max S_W < min S_B, "
+            f"got {support_a}, {support_w}, {support_b}"
+        )
+
+
 def window_decay_sum(decay, mu: float, support_a: SiteSupport, support_w: SiteSupport, support_b: SiteSupport) -> float:
     """Three-support decay combination entering the double-commutator bound.
 
@@ -344,11 +359,7 @@ def window_decay_sum(decay, mu: float, support_a: SiteSupport, support_w: SiteSu
     value is f(d(S_A,S_B)) + f(d(S_A,S_W) - 1) e^{-mu d(S_W,S_B)} plus a layer
     sum marching from the middle support toward the right one.
     """
-    if not (support_a.hi < support_w.lo - 1 and support_w.hi < support_b.lo):
-        raise ValueError(
-            f"supports must be ordered with gaps: max S_A < min S_W - 1 <= max S_W < min S_B, "
-            f"got {support_a}, {support_w}, {support_b}"
-        )
+    _check_ordered(support_a, support_w, support_b)
     d_ab = support_a.distance(support_b)
     d_aw = support_a.distance(support_w)
     d_wb = support_w.distance(support_b)
@@ -381,11 +392,7 @@ def double_commutator_bound(
     into d(min S_W - 1, S_B) e^{-mu d(S_A, S_B)} at the price of
     e^{mu (diam S_W + 2)}.
     """
-    if not (support_a.hi < support_w.lo - 1 and support_w.hi < support_b.lo):
-        raise ValueError(
-            f"supports must be ordered with gaps: max S_A < min S_W - 1 <= max S_W < min S_B, "
-            f"got {support_a}, {support_w}, {support_b}"
-        )
+    _check_ordered(support_a, support_w, support_b)
     norm_a, norm_b, norm_w = (float(x) for x in norms)
     mu, v, c0 = params.mu, params.v, params.C0
     with np.errstate(over="ignore"):

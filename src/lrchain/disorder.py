@@ -23,7 +23,7 @@ from math import ceil, log
 
 import numpy as np
 
-from .bounds import VIOLATION_TOL, LRParameters, main_constant
+from .bounds import LRParameters, exceeds, main_constant
 from .dynamics import commutator_norm_table
 from .geometry import ChainGeometry
 from .model import NNInteraction, build_nn_hamiltonian
@@ -348,7 +348,7 @@ def _run_realization(cfg, epsilon, bounds_by_t, separation_ok, realization, chil
         norm = None if exact is None else float(exact[j])
         bound = bounds_by_t[t]
         applicable = bool(event and norm is not None and separation_ok)
-        violated = bool(applicable and norm > bound + VIOLATION_TOL)
+        violated = bool(applicable and exceeds(norm, bound))
         rows.append(SweepRow(realization, child, t, event, norm, bound, applicable, violated))
     return rows
 

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    VIOLATION_TOL,
     BoundOutcome,
     LRParameters,
     apriori_bound,
     derivative_bound_constant,
+    exceeds,
     main_bound,
     main_constant,
     single_impurity_bound,
@@ -51,7 +51,7 @@ from .operators import (
     commutator,
     conditional_expectation,
     epsilon_unitaries,
-    monomial_epsilon,
+    max_commutator_norm,
     operator_norm,
 )
 from .serialize import (
@@ -258,7 +258,7 @@ class ExperimentRecord:
             f"t = {fmt_float(self.t)}: exact norm {fmt_float(self.exact_norm)} exceeds "
             f"{name} bound {fmt_float(outcome.value)}"
             for name, outcome in self.bounds
-            if outcome.applicable and self.exact_norm > outcome.value + VIOLATION_TOL
+            if outcome.applicable and exceeds(self.exact_norm, outcome.value)
         ]
 
 
@@ -290,10 +290,7 @@ def _evaluate_bounds(cfg: ExperimentConfig, params: LRParameters, t: float, scal
         elif name == "main":
             outcome = main_bound(params, cfg.geom.local_dim, sa, sb, cfg.imp, t, scale)
         elif name == "corollary":
-            try:
-                outcome = uniform_impurity_bound(params, cfg.geom.local_dim, sa, sb, cfg.imp, t, scale)
-            except ValueError as exc:
-                outcome = BoundOutcome.not_applicable(str(exc))
+            outcome = uniform_impurity_bound(params, cfg.geom.local_dim, sa, sb, cfg.imp, t, scale)
         else:
             outcome = _best_single_impurity(params, cfg.geom.local_dim, sa, sb, cfg.imp, t, scale)
         out.append((name, outcome))
@@ -644,11 +641,9 @@ def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
             min(a.support.hi + 1, geom.half_length),
         )
         unitaries = epsilon_unitaries(keep, geom)
-        norm = operator_norm(evolved)
-        eps = monomial_epsilon(evolved.matrix, norm, unitaries)
         projected = conditional_expectation(evolved, keep, geom)
         lhs = operator_norm((evolved - projected).matrix)
-        rhs = eps * norm
+        rhs = max_commutator_norm(evolved.matrix, unitaries)
         return max(lhs - rhs, 0.0), (
             f"||(id - E)(evolved A)|| = {fmt_float(lhs)} vs eps * norm = "
             f"{fmt_float(rhs)} on keep = {keep}; {len(unitaries)} unitaries"

@@ -10,7 +10,6 @@ operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -141,35 +140,22 @@ def embed_local(a: DenseOperator, target: SiteSupport, geom: ChainGeometry) -> D
 def operator_norm(a):
     """Largest singular value; a stack of shape (..., n, n) gets an array of shape (...).
 
-    A matrix that equals plus or minus its adjoint entry for entry is normal,
-    so its singular values are the moduli of its eigenvalues, which
-    `eigvalsh` finds faster than an SVD.  The test is exact: a matrix that is
-    Hermitian only up to rounding goes through the SVD.  Each member of a
-    stack takes its own route, and the batched LAPACK calls decompose every
-    member on its own, so a member's norm equals, bit for bit, the norm of
-    that matrix passed alone.
+    A matrix, or a whole stack, that equals its adjoint entry for entry is
+    Hermitian, so its singular values are the moduli of its eigenvalues,
+    which `eigvalsh` finds faster than an SVD.  Anything else, a matrix
+    Hermitian only up to rounding included, goes through the SVD.  The route
+    is chosen once per call: a stack whose members are all exactly Hermitian
+    gives each member the bits it would get alone, and any other stack takes
+    the SVD for all its members.
     """
     m = _as_matrix(a)
-    n = m.shape[-1]
-    stack = m.reshape(prod(m.shape[:-2]), n, n)
-    adj = _adjoint(stack)
-    hermitian = np.all(stack == adj, axis=(1, 2))
-    anti = ~hermitian
-    if anti.any():
-        anti[anti] = np.all(stack[anti] == -adj[anti], axis=(1, 2))
-    out = np.zeros(len(stack))
-    routes = (
-        (hermitian, lambda s: np.max(np.abs(np.linalg.eigvalsh(s)), axis=-1)),
-        (anti, lambda s: np.max(np.abs(np.linalg.eigvalsh(1j * s)), axis=-1)),
-        (~(hermitian | anti), lambda s: np.linalg.norm(s, 2, axis=(1, 2))),
-    )
-    for members, norms in routes:
-        # a route without members makes no call, since the LAPACK wrappers
-        # cost tens of microseconds even on an empty selection, and a route
-        # that takes every member reads the stack without copying it
-        if n and members.any():
-            out[members] = norms(stack if members.all() else stack[members])
-    return float(out[0]) if m.ndim == 2 else out.reshape(m.shape[:-2])
+    if m.shape[-1] == 0:
+        return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
+    if np.array_equal(m, _adjoint(m)):
+        out = np.max(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+    else:
+        out = np.linalg.norm(m, 2, axis=(-2, -1))
+    return float(out) if m.ndim == 2 else out
 
 
 def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
@@ -346,19 +332,15 @@ def local_commutator_epsilon(a: DenseOperator, keep: SiteSupport, geom: ChainGeo
     norm_a = operator_norm(a)
     if norm_a == 0.0:
         return 0.0
-    return monomial_epsilon(a.matrix, norm_a, epsilon_unitaries(keep, geom))
-
-
-def monomial_epsilon(m: np.ndarray, norm_m: float, unitaries: list) -> float:
-    """max ||[m, U]|| / norm_m over the entries of `epsilon_unitaries`; 0 for norm_m = 0 or no entries.
-
-    The step of `local_commutator_epsilon` after the norm and the unitary
-    set, for a caller that needs both of them as well.
-    """
-    if norm_m == 0.0 or not unitaries:
-        return 0.0
     # ||B|| = 1: a tensor product of unitaries is unitary
-    return float(np.max(_monomial_commutator_norms(m, unitaries))) / norm_m
+    return max_commutator_norm(a.matrix, epsilon_unitaries(keep, geom)) / norm_a
+
+
+def max_commutator_norm(m: np.ndarray, unitaries: list) -> float:
+    """max ||[m, U]|| over the entries of `epsilon_unitaries`; 0 when there are none."""
+    if not unitaries:
+        return 0.0
+    return float(np.max(_monomial_commutator_norms(m, unitaries)))
 
 
 LOCALIZATION_TOL = 1e-10

@@ -285,11 +285,13 @@ class TestUniformBound:
 
     def test_requires_uniform_family(self):
         p = params_for(1.0)
-        with pytest.raises(ValueError, match="at least one"):
-            uniform_impurity_bound(p, 2, SA, SB, ImpuritySpec.empty(), 0.5)
+        empty = uniform_impurity_bound(p, 2, SA, SB, ImpuritySpec.empty(), 0.5)
+        assert empty == BoundOutcome.not_applicable("uniform impurity bound needs at least one impurity")
         mixed = ImpuritySpec.uniform([-3, 3], np.diag([1.0, -1.0]), {-3: 1.0, 3: 2.0})
-        with pytest.raises(ValueError, match="identical"):
-            uniform_impurity_bound(p, 2, SA, SB, mixed, 0.5)
+        out = uniform_impurity_bound(p, 2, SA, SB, mixed, 0.5)
+        assert out == BoundOutcome.not_applicable(
+            "uniform impurity bound needs identical on-site matrices and couplings at every site"
+        )
 
     def test_hypothesis_failure_propagates(self):
         p = params_for(1.0)

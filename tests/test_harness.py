@@ -378,6 +378,38 @@ class TestRunVerify:
         doc = report.to_json_doc()
         assert "too close" in doc["records"][0]["bounds"]["main"]["reason"]
 
+    def test_json_reasons_of_unmet_impurity_hypotheses(self, rng):
+        # L = 4 separates the edge observables enough for the improved bounds,
+        # so each reason below comes from the impurity family alone
+        all_bounds = ("apriori", "main", "corollary", "single_impurity")
+        sz = np.array(PAULI["sz"])
+        fallback = "no impurities in the window; a-priori bound used as fallback"
+        cases = [
+            (
+                ImpuritySpec.empty(),
+                {
+                    "main": fallback,
+                    "corollary": "uniform impurity bound needs at least one impurity",
+                    "single_impurity": "model has no impurities",
+                },
+            ),
+            (
+                ImpuritySpec.uniform([0, 3], sz, {0: 5.0, 3: 7.0}),
+                {"corollary": "uniform impurity bound needs identical on-site matrices and couplings at every site"},
+            ),
+            (
+                ImpuritySpec.uniform([-3, 3], sz, 5.0),
+                {"main": fallback, "corollary": fallback, "single_impurity": "no impurity site in the window [-1, 1]"},
+            ),
+        ]
+        cfg = make_config(rng, half_length=4, t_grid=(0.5,), bound_set=all_bounds)
+        for imp, want in cases:
+            doc = json.loads(run_verify(dataclasses.replace(cfg, imp=imp)).to_json())
+            bounds = doc["records"][0]["bounds"]
+            assert {name: bounds[name]["reason"] for name in want} == want
+            for name in want:
+                assert bounds[name]["applicable"] is (want[name] == fallback)
+
     def test_totals_are_not_stored(self, rng):
         report = run_verify(make_config(rng, t_grid=(0.5,)))
         assert not {"violations", "improvement_points"} & {f.name for f in dataclasses.fields(VerifyReport)}

@@ -148,9 +148,10 @@ class TestOperatorNorm:
             near[0, -1] = np.nextafter(near[0, -1].real, np.inf) + 1j * near[0, -1].imag
             for m in (general, h, 1j * h, near):
                 assert abs(operator_norm(m) - norm_oracle(m)) <= 1e-10 * max(1.0, norm_oracle(m))
-            # exactly (anti-)Hermitian input takes eigvalsh; Hermitian only to rounding keeps the SVD
+            # exactly Hermitian input takes eigvalsh; anti-Hermitian input and
+            # input Hermitian only to rounding take the SVD
             assert operator_norm(h) == float(np.max(np.abs(np.linalg.eigvalsh(h))))
-            assert operator_norm(1j * h) == float(np.max(np.abs(np.linalg.eigvalsh(-h))))
+            assert operator_norm(1j * h) == float(np.linalg.norm(1j * h, 2))
             assert operator_norm(near) == float(np.linalg.norm(near, 2))
 
     def test_known_values(self):
@@ -165,22 +166,29 @@ class TestOperatorNorm:
             assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-10
 
     def test_stack_equals_single_calls(self, rng):
-        # every member takes its own route (eigvalsh, eigvalsh of i M, SVD)
-        # and gets the bits the matrix alone would get
+        # the route is chosen once per call: a stack of exactly Hermitian
+        # members takes eigvalsh and gives each member the bits it would get
+        # alone; a stack with any other member takes the SVD for all of them
         dim = 7
         h = random_hermitian(rng, dim)
         near = h.copy()
         near[0, -1] = np.nextafter(near[0, -1].real, np.inf) + 1j * near[0, -1].imag
+        hermitian = [h, 2 * h, random_hermitian(rng, dim), np.zeros((dim, dim))]
+        got = operator_norm(np.array(hermitian))
+        assert got.shape == (len(hermitian),)
+        assert [float(x) for x in got] == [operator_norm(m) for m in hermitian]
         members = [h, 1j * h, random_complex(rng, dim), near, random_hermitian(rng, dim), np.zeros((dim, dim))]
         stack = np.array(members)
         got = operator_norm(stack)
         assert got.shape == (len(members),)
-        assert [float(x) for x in got] == [operator_norm(m) for m in members]
+        assert np.array_equal(got, np.linalg.norm(stack, 2, axis=(-2, -1)))
+        for norm, m in zip(got, members):
+            assert abs(norm - operator_norm(m)) <= 1e-12 * operator_norm(m)
         grid = operator_norm(stack.reshape(2, 3, dim, dim))
         assert grid.shape == (2, 3)
         assert np.array_equal(grid.ravel(), got)
-        # one route for the whole stack, the SVD included
-        for same in ([h, 2 * h], [1j * h, -1j * h], [members[2], near]):
+        # a stack of members that each take the SVD alone gets their bits
+        for same in ([1j * h, -1j * h], [members[2], near]):
             assert [float(x) for x in operator_norm(np.array(same))] == [operator_norm(m) for m in same]
         assert operator_norm(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
         with pytest.raises(ValueError, match="square"):
