@@ -14,7 +14,7 @@ full and decoupled evolutions of an observable.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import partial
 from itertools import islice, permutations
 
 import numpy as np
@@ -151,11 +151,12 @@ class EvolutionContext:
     ``H != 0`` (listed in `spectral_blocks`) is an invariant subspace spanned
     by basis states, and is eigendecomposed on its own.  A Hamiltonian that
     conserves a diagonal charge, such as total S^z, splits into its charge
-    sectors; a dense one is a single block.  The results are scattered into
-    one eigenvalue vector and one dense unitary whose column k lies in the
-    block of basis state k, so the eigenvalues ascend within each block but
-    not across blocks.  `reconstruction_residual` is the relative Frobenius
-    residual of U diag(w) U^dag against H.
+    sectors; a dense one is a single block.  `spectra` holds one
+    (eigenvalues, eigenvectors) pair per block, in the order of
+    `spectral_blocks`, with V_I of shape len(idx) x len(idx); `eigenvalues`
+    is their concatenation, ascending within each block but not across
+    blocks.  `reconstruction_residual` is the relative Frobenius residual of
+    the blocks' V_I diag(w_I) V_I^dag against H.
     """
 
     def __init__(self, hamiltonian: DenseOperator, geom: ChainGeometry):
@@ -163,44 +164,43 @@ class EvolutionContext:
         self.geom = geom
         self.hamiltonian = hamiltonian
         h = hamiltonian.matrix
-        n = h.shape[0]
         self.spectral_blocks = connected_components(h != 0)
-        self.eigenvalues = np.empty(n)
-        self.eigenvectors = np.zeros((n, n), dtype=complex)
+        self.spectra = []
         squared_residual = squared_norm = 0.0
         for idx in self.spectral_blocks:
-            block = np.ix_(idx, idx)
-            evals, evecs, block_residual, block_norm = _decompose(h[block])
-            self.eigenvalues[idx] = evals
-            self.eigenvectors[block] = evecs
+            evals, evecs, block_residual, block_norm = _decompose(h[np.ix_(idx, idx)])
+            self.spectra.append((evals, evecs))
             squared_residual += block_residual
             squared_norm += block_norm
-        # ||U diag(w) U^dag - H||_F / ||H||_F
+        self.eigenvalues = np.concatenate([evals for evals, _ in self.spectra])
         self.reconstruction_residual = float(_reconstruction_residual(squared_residual, squared_norm))
 
-    def to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        """U^dag M U: a full-chain matrix written in the eigenbasis of H."""
-        u = self.eigenvectors
-        return u.conj().T @ m @ u
+    def evolve(self, a: DenseOperator, t: float, weight=None) -> DenseOperator:
+        """Heisenberg evolution exp(itH) A exp(-itH), embedded on the full chain.
 
-    def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        """U M U^dag: the inverse of `to_eigenbasis`."""
-        u = self.eigenvectors
-        return u @ m @ u.conj().T
-
-    def frequencies(self) -> np.ndarray:
-        """Bohr frequencies w_m - w_n; evolution multiplies entry (m, n) by exp(i t (w_m - w_n))."""
-        return self.eigenvalues[:, None] - self.eigenvalues[None, :]
-
-    def evolve(self, a: DenseOperator, t: float) -> DenseOperator:
-        """Heisenberg evolution exp(itH) A exp(-itH), embedded on the full chain."""
+        Runs block pair by block pair: with p = exp(itw),
+        out[I, J] = V_I (p_I p_J^* . V_I^dag A[I, J] V_J) V_J^dag, and a pair
+        where A is zero stays zero.  `weight`, when given, maps each Bohr
+        frequency w_m - w_n to a factor that also multiplies eigenbasis entry
+        (m, n), at t = 0 too.
+        """
         full = embed_local(a, self.geom.full_support, self.geom)
-        if t == 0.0:
+        if t == 0.0 and weight is None:
             return full
-        phases = np.exp(1j * t * self.eigenvalues)
-        core = self.to_eigenbasis(full.matrix)
-        core *= phases[:, None] * phases.conj()[None, :]
-        return DenseOperator(full.support, self.from_eigenbasis(core))
+        out = np.zeros(full.matrix.shape, dtype=complex)
+        blocks = [(idx, w, v, np.exp(1j * t * w)) for idx, (w, v) in zip(self.spectral_blocks, self.spectra)]
+        for rows, w_i, v_i, p_i in blocks:
+            for cols, w_j, v_j, p_j in blocks:
+                pair = np.ix_(rows, cols)
+                m = full.matrix[pair]
+                if not m.any():
+                    continue
+                core = v_i.conj().T @ m @ v_j
+                core *= p_i[:, None] * p_j.conj()[None, :]
+                if weight is not None:
+                    core *= weight(w_i[:, None] - w_j[None, :])
+                out[pair] = v_i @ core @ v_j.conj().T
+        return DenseOperator(full.support, out)
 
 
 # bytes of one stack of the largest group over a chunk of Hamiltonians in
@@ -444,11 +444,6 @@ class DecoupledDynamics:
         spread = max(float(np.ptp(ctx.eigenvalues)) for ctx in (self.full, self.decoupled, self.reduced))
         return FD_PHASE_STEP / max(spread, 1.0)
 
-    @cached_property
-    def _full_to_decoupled(self) -> np.ndarray:
-        """Overlap U_dec^dag U_full: rotates the full eigenbasis into the decoupled one."""
-        return self.decoupled.eigenvectors.conj().T @ self.full.eigenvectors
-
     def interpolant_derivative_fd(self, a, b, j, k, s, t, step: float | None = None) -> DenseOperator:
         """Central difference (f(s+h) - f(s-h)) / 2h of `interpolant` in s, for cross-checking.
 
@@ -457,38 +452,39 @@ class DecoupledDynamics:
 
             f(s+h) - f(s-h) = [[X(s+h) - X(s-h), mean Y] + [mean X, Y(s+h) - Y(s-h)], B].
 
-        Each difference is formed inside an eigenbasis from
-        exp(i(s+h)w) - exp(i(s-h)w) = 2i sin(hw) exp(isw), never by
-        subtracting two O(1)-normed operators, so its rounding error does not
-        grow as the step shrinks.  What remains is the truncation of the
-        central difference and the rounding floor of the eigendecompositions,
-        which scales with the norm of the Hamiltonians.  `step` defaults to
-        `fd_step()`.
+        Each difference is an evolution weighted by 2i sin(hw), since
+        exp(i(s+h)w) - exp(i(s-h)w) = 2i sin(hw) exp(isw), and each mean one
+        weighted by cos(hw); no difference subtracts two O(1)-normed
+        operators, so its rounding error does not grow as the step shrinks.
+        What remains is the truncation of the central difference and the
+        rounding floor of the eigendecompositions, which scales with the norm
+        of the Hamiltonians.  `step` defaults to `fd_step()`.
         """
         if step is None:
             step = self.fd_step()
         self._check_interpolant_supports(a, b)
         geom = self.geom
 
-        # X(s) = reduced evolution of the block
-        w = self.reduced.frequencies()
-        core = self.reduced.to_eigenbasis(self.blocks[(j, k)].matrix) * np.exp(1j * s * w)
-        x_diff = self.reduced.from_eigenbasis(core * (2j * np.sin(step * w)))
-        x_mean = self.reduced.from_eigenbasis(core * np.cos(step * w))
+        def cos_weight(w):
+            return np.cos(step * w)
+
+        def sin_weight(w):
+            return 2j * np.sin(step * w)
+
+        # X(s +- h): the block under the reduced evolution
+        x_diff = self.reduced.evolve(self.blocks[(j, k)], s, sin_weight).matrix
+        x_mean = self.reduced.evolve(self.blocks[(j, k)], s, cos_weight).matrix
 
         # Y(s +- h) = D_s D_{+-h} F_{-+h} Z with Z = F_{t-s} A, D / F the decoupled /
         # full evolutions.  Splitting D_{+-h} = cD +- sD/2 and F_{-+h} = cF -+ sF/2
-        # into cosine and sine parts gives
+        # into the parts weighted by cos(hw) and 2i sin(hw) gives
         #   Y(s+h) - Y(s-h) = D_s (sD cF - cD sF) Z,  mean Y = D_s (cD cF - sD sF / 4) Z.
-        w = self.full.frequencies()
-        z = self.full.to_eigenbasis(embed_local(a, geom.full_support, geom).matrix) * np.exp(1j * (t - s) * w)
-        overlap = self._full_to_decoupled
-        z_cos = overlap @ (z * np.cos(step * w)) @ overlap.conj().T
-        z_sin = overlap @ (z * (2j * np.sin(step * w))) @ overlap.conj().T
-        w = self.decoupled.frequencies()
-        phase, cos_d, sin_d = np.exp(1j * s * w), np.cos(step * w), 2j * np.sin(step * w)
-        y_diff = self.decoupled.from_eigenbasis(phase * (sin_d * z_cos - cos_d * z_sin))
-        y_mean = self.decoupled.from_eigenbasis(phase * (cos_d * z_cos - 0.25 * sin_d * z_sin))
+        z_cos = self.full.evolve(a, t - s, cos_weight)
+        z_sin = self.full.evolve(a, t - s, sin_weight)
+        y_diff = self.decoupled.evolve(z_cos, s, sin_weight).matrix
+        y_diff -= self.decoupled.evolve(z_sin, s, cos_weight).matrix
+        y_mean = self.decoupled.evolve(z_cos, s, cos_weight).matrix
+        y_mean -= 0.25 * self.decoupled.evolve(z_sin, s, sin_weight).matrix
 
         inner = x_diff @ y_mean - y_mean @ x_diff + x_mean @ y_diff - y_diff @ x_mean
         b_full = embed_local(b, geom.full_support, geom).matrix

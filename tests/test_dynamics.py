@@ -186,10 +186,10 @@ class TestEvolutionContext:
         geom, h = heisenberg_field_chain(rng)
         ctx = EvolutionContext(h, geom)
         assert [len(idx) for idx in ctx.spectral_blocks] == [1, 5, 10, 10, 5, 1]
-        # eigenvector k lives in the block of basis state k
-        for idx in ctx.spectral_blocks:
-            outside = np.setdiff1d(np.arange(geom.total_dim), idx)
-            assert not np.any(ctx.eigenvectors[np.ix_(outside, idx)])
+        # one (eigenvalues, eigenvectors) pair per block, of the block's size
+        for idx, (evals, evecs) in zip(ctx.spectral_blocks, ctx.spectra, strict=True):
+            assert evals.shape == (len(idx),) and evecs.shape == (len(idx), len(idx))
+        assert np.array_equal(ctx.eigenvalues, np.concatenate([evals for evals, _ in ctx.spectra]))
 
     def test_blocked_evolution_matches_expm(self, rng):
         from scipy.linalg import expm
@@ -203,6 +203,29 @@ class TestEvolutionContext:
             u = expm(1j * t * h.matrix)
             want = u @ a_full @ u.conj().T
             assert operator_norm(ctx.evolve(a, t).matrix - want) <= 1e-11
+
+    def test_weighted_evolution_matches_expm_differences(self, rng):
+        # weights cos(hw) and 2i sin(hw) of the Bohr frequency w give the
+        # mean and the difference of the evolutions to t + h and t - h; an A
+        # on [-1, 0] joins the S^z sectors, and t = 0 still applies the weight
+        from scipy.linalg import expm
+
+        geom, h = heisenberg_field_chain(rng)
+        ctx = EvolutionContext(h, geom)
+        a = DenseOperator(SiteSupport(-1, 0), random_complex(rng, 4))
+        a_full = embed_local(a, geom.full_support, geom).matrix
+        step = 1e-2
+
+        def evolved(tau):
+            u = expm(1j * tau * h.matrix)
+            return u @ a_full @ u.conj().T
+
+        for t in (0.0, 0.4):
+            later, earlier = evolved(t + step), evolved(t - step)
+            mean = ctx.evolve(a, t, lambda w: np.cos(step * w)).matrix
+            diff = ctx.evolve(a, t, lambda w: 2j * np.sin(step * w)).matrix
+            assert operator_norm(mean - 0.5 * (later + earlier)) <= 1e-11
+            assert operator_norm(diff - (later - earlier)) <= 1e-11
 
     def test_rejects_non_hermitian_entry_in_block(self, rng):
         geom, h = heisenberg_field_chain(rng)
