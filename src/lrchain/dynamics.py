@@ -29,7 +29,7 @@ from .model import (
     offdiagonal_block,
     perturbation_operator,
 )
-from .operators import DenseOperator, commutator, embed_local, hermitian_spectral, operator_norm
+from .operators import _GRAM_CHUNK_BYTES, DenseOperator, commutator, embed_local, hermitian_spectral, operator_norm
 
 RECONSTRUCTION_TOL = 1e-10
 # Largest phase advance w*h of a central-difference step; the relative
@@ -144,6 +144,26 @@ def _split_norms(
     return gap * np.sqrt(0.5 * operator_norm(gram))
 
 
+def two_values(m: np.ndarray):
+    """The two values m_1 < m_2 of a matrix that is exactly diagonal, exactly real and exactly two-valued; None otherwise.
+
+    The one selection test of the split routes, in `commutator_norm_table`
+    and in `split_commutator_norms`: all comparisons are exact, so the
+    route depends on the input alone.
+    """
+    diagonal = np.diagonal(m)
+    values = np.unique(diagonal.real)
+    if len(values) != 2 or np.any(diagonal.imag) or not np.array_equal(m, np.diag(diagonal)):
+        return None
+    return values
+
+
+def _value_sides(diagonal: np.ndarray, values: np.ndarray) -> list:
+    """Positions where `diagonal` takes each of the two `values`, the side with fewer positions first."""
+    upper = diagonal.real == values[1]
+    return sorted((np.flatnonzero(~upper), np.flatnonzero(upper)), key=len)
+
+
 class EvolutionContext:
     """One Hamiltonian, eigendecomposed once, evolving any observable exactly.
 
@@ -201,6 +221,53 @@ class EvolutionContext:
                     core *= weight(w_i[:, None] - w_j[None, :])
                 out[pair] = v_i @ core @ v_j.conj().T
         return DenseOperator(full.support, out)
+
+
+def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, unitaries: list) -> np.ndarray:
+    """|| [tau_t(A), U] || for each entry of `epsilon_unitaries`, for a local A that `two_values` accepts.
+
+    Let a_1 < a_2 be the values of A, E_k the basis states on which the
+    embedded A equals a_k, and Q_k = exp(itH) E_k, so that
+    tau_t(A) = a_1 Q_1 Q_1^dag + a_2 Q_2 Q_2^dag.  In the orthonormal basis
+    formed by the columns of Q_1 and Q_2, tau_t(A) is diag(a_1, a_2) and U
+    is the unitary U' with blocks U'_jk = Q_j^dag U Q_k, so the commutator
+    has only the two off-diagonal blocks -(a_2 - a_1) U'_12 and
+    (a_2 - a_1) U'_21, and its norm is (a_2 - a_1) times the larger of
+    || U'_12 || and || U'_21 ||.  By the CS decomposition of U' the two are
+    equal: U'^dag U' = U' U'^dag = 1 gives U'_21^dag U'_21 = 1 - U'_11^dag U'_11
+    and U'_12 U'_12^dag = 1 - U'_11 U'_11^dag, which have the same
+    eigenvalues.  Hence || [tau_t(A), U] || = (a_2 - a_1) || Q_s^dag U Q_l ||,
+    Q_s the side with fewer columns: the square root of the top eigenvalue
+    of a Gram matrix of size min(k_1, k_2), where `max_commutator_norm`
+    takes one of size n.
+
+    The columns of exp(itH) are gathered from the context's per-block
+    spectra, V_I p_I V_I^dag with p = exp(itw).  U Q_l is a gather of the
+    rows of Q_l times U's phases, and each chunk of unitaries takes one
+    stacked product Q_s^dag (U Q_l) and one stacked `eigvalsh`; the chunk's
+    gathered stack fits in `_GRAM_CHUNK_BYTES`.
+    """
+    values = two_values(a.matrix)
+    if values is None:
+        raise ValueError("the split route needs an exactly diagonal, real A with exactly two distinct values")
+    geom = ctx.geom
+    n = geom.total_dim
+    propagator = np.zeros((n, n), dtype=complex)
+    for idx, (w, v) in zip(ctx.spectral_blocks, ctx.spectra):
+        propagator[np.ix_(idx, idx)] = (v * np.exp(1j * t * w)) @ v.conj().T
+    short, long = _value_sides(np.diagonal(embed_local(a, geom.full_support, geom).matrix), values)
+    q_short_dag, q_long = propagator[:, short].conj().T, propagator[:, long]
+    del propagator
+    chunk = max(1, _GRAM_CHUNK_BYTES // (16 * n * len(long)))  # 16 bytes per complex128 entry
+    norms = np.empty(len(unitaries))
+    for start in range(0, len(unitaries), chunk):
+        batch = unitaries[start : start + chunk]
+        perms = np.array([perm for _, perm, _ in batch])
+        phases = np.array([ph for _, _, ph in batch])
+        y = q_short_dag @ (q_long[perms] * phases[..., None])
+        gram = y @ y.conj().swapaxes(-1, -2)
+        norms[start : start + len(batch)] = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    return (values[1] - values[0]) * norms
 
 
 # bytes of one stack of the largest group over a chunk of Hamiltonians in
@@ -272,16 +339,14 @@ def commutator_norm_table(
     hermitian = all(np.array_equal(m, m.conj().T) for m in (a.matrix, b.matrix))
     a_full, b_full = embed_local(a, geom.full_support, geom), embed_local(b, geom.full_support, geom)
     groups = connected_components((h != 0) | (a_full.matrix != 0) | (b_full.matrix != 0))
-    b_values = np.unique(np.diagonal(b.matrix).real)
-    two_valued = hermitian and len(b_values) == 2 and np.array_equal(b.matrix, np.diag(np.diagonal(b.matrix)))
-    b_upper = np.diagonal(b_full.matrix).real == b_values[-1]
+    b_values = two_values(b.matrix) if hermitian else None
     gathered = []
     for idx in groups:
         block = np.ix_(idx, idx)
-        if not two_valued:
+        if b_values is None:
             b_part = b_full.matrix[block]
         else:
-            b_part = sorted((np.flatnonzero(~b_upper[idx]), np.flatnonzero(b_upper[idx])), key=len)
+            b_part = _value_sides(np.diagonal(b_full.matrix)[idx], b_values)
             if not len(b_part[0]):
                 b_part = None
         gathered.append((idx, h[block], a_full.matrix[block], b_part))
@@ -308,7 +373,7 @@ def commutator_norm_table(
             squared_norm += block_norm
             if b_part is None:
                 continue  # B is constant on this group, so it commutes with X
-            if two_valued:
+            if b_values is not None:
                 (a_rot,) = _rotate(evecs, a_block)
                 v_short, v_long = (evecs[:, rows] for rows in b_part)
                 block_norms = partial(_split_norms, evals, a_rot, v_short, v_long, b_values[1] - b_values[0])

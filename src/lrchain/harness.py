@@ -35,7 +35,14 @@ from .bounds import (
     single_impurity_bound,
     uniform_impurity_bound,
 )
-from .dynamics import DecoupledDynamics, commutator_norm_table, connected_components
+from .dynamics import (
+    DecoupledDynamics,
+    EvolutionContext,
+    commutator_norm_table,
+    connected_components,
+    split_commutator_norms,
+    two_values,
+)
 from .geometry import ChainGeometry, SiteSupport, SupportError
 from .model import (
     ImpuritySpec,
@@ -551,6 +558,20 @@ def pick_decoupling_site(cfg: ExperimentConfig) -> int:
     )
 
 
+def projection_commutator_norm(
+    ctx: EvolutionContext, a: DenseOperator, t: float, evolved: DenseOperator, unitaries: list
+) -> float:
+    """max ||[tau_t(A), U]|| over `unitaries`, with `evolved` = ctx.evolve(a, t); 0 when there are none.
+
+    A local A that `two_values` accepts takes `split_commutator_norms`, on
+    Gram matrices of half the size or less; any other A takes
+    `max_commutator_norm` on the evolved matrix.
+    """
+    if two_values(a.matrix) is None:
+        return max_commutator_norm(evolved.matrix, unitaries)
+    return float(np.max(split_commutator_norms(ctx, a, t, unitaries), initial=0.0))
+
+
 def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
     """Replay the identity suite behind the impurity-improved bound.
 
@@ -635,6 +656,12 @@ def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
         return derivative_residuals()[2], "step-halved extrapolation cancels the quadratic truncation term"
 
     def check_projection():
+        """||(id - E_keep)(tau_t(A))|| against its bound, the largest ||[tau_t(A), U]|| over `epsilon_unitaries`.
+
+        keep is A's support widened by one site on each side.  The bound
+        comes from `projection_commutator_norm`: the split route for a
+        two-valued diagonal A such as sz, `max_commutator_norm` otherwise.
+        """
         evolved = dd.full.evolve(a, t)
         keep = SiteSupport(
             max(a.support.lo - 1, -geom.half_length),
@@ -643,7 +670,7 @@ def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
         unitaries = epsilon_unitaries(keep, geom)
         projected = conditional_expectation(evolved, keep, geom)
         lhs = operator_norm((evolved - projected).matrix)
-        rhs = max_commutator_norm(evolved.matrix, unitaries)
+        rhs = projection_commutator_norm(dd.full, a, t, evolved, unitaries)
         return max(lhs - rhs, 0.0), (
             f"||(id - E)(evolved A)|| = {fmt_float(lhs)} vs eps * norm = "
             f"{fmt_float(rhs)} on keep = {keep}; {len(unitaries)} unitaries"

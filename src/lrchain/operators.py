@@ -283,7 +283,8 @@ def epsilon_unitaries(keep: SiteSupport, geom: ChainGeometry) -> list:
 
 
 # bytes of one stack of commutators: about 8 at dimension 128, so the
-# stacks add little to the peak resident memory
+# stacks add little to the peak resident memory.  The split route of
+# `lrchain.dynamics.split_commutator_norms` sizes its gathered stacks by it too
 _GRAM_CHUNK_BYTES = 1 << 21
 
 

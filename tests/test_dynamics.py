@@ -10,6 +10,8 @@ from lrchain.dynamics import (
     EvolutionContext,
     commutator_norm_table,
     connected_components,
+    split_commutator_norms,
+    two_values,
 )
 from lrchain.geometry import ChainGeometry, SiteSupport, SupportError
 from lrchain.model import ImpuritySpec, NNInteraction, build_perturbed_hamiltonian
@@ -17,8 +19,10 @@ from lrchain.operators import (
     PAULI,
     DenseOperator,
     HermiticityError,
+    _monomial_commutator_norms,
     commutator,
     embed_local,
+    epsilon_unitaries,
     operator_norm,
 )
 from util import random_complex, random_hermitian
@@ -438,6 +442,92 @@ class TestCommutatorNormTable:
         with pytest.raises(ValueError, match="reconstruction residual") as got:
             commutator_norm_table(h0, fields, a, b, geom, self.TIMES)
         assert str(got.value) == str(want.value)
+
+
+def identities_l3_context(seed):
+    """The identities-L3 benchmark model: unit-norm random bonds drawn in site order from `seed`, diag(1, -1) at 0 with coupling 5."""
+    geom = ChainGeometry(3, 2)
+    rng = np.random.default_rng(seed)
+    phi = NNInteraction(geom, bonds={x: random_hermitian(rng, 4, norm=1.0) for x in range(-3, 3)})
+    imp = ImpuritySpec.uniform([0], np.diag([1.0, -1.0]), 5.0)
+    return EvolutionContext(build_perturbed_hamiltonian(phi, imp, geom), geom)
+
+
+class TestSplitCommutatorNorms:
+    def test_two_values(self):
+        assert two_values(PAULI["sz"]).tolist() == [-1.0, 1.0]
+        assert two_values(np.diag([1.0, 1.0, -1.0])).tolist() == [-1.0, 1.0]
+        assert two_values(np.diag([0.5, 2.0, 0.5, 2.0])).tolist() == [0.5, 2.0]
+        for m in (PAULI["sx"], PAULI["sy"], np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 2.0 + 1.0j]), np.eye(2),
+                  PAULI["sz"] + 1e-300 * PAULI["sx"]):
+            assert two_values(m) is None, m
+
+    @pytest.mark.parametrize(
+        "case",
+        ["identities-L3 seed 5", "identities-L3 seed 6", "Heisenberg t=0.5", "Heisenberg t=0", "qutrit", "zero bonds"],
+    )
+    def test_matches_gram_route(self, rng, case):
+        # || [tau_t(A), U] || from the split route agrees with the Gram route
+        # on the evolved matrix, per unitary and for the maximum, within
+        # 1e-12 of the maximum: on the benchmark's random-bond inputs (513
+        # unitaries on keep = [-3, -2]), on the Heisenberg chain (8 S^z
+        # blocks) with keeps that have complements on both sides, at t = 0,
+        # on a qutrit chain where A's two values have multiplicities 81 and
+        # 162, and on a diagonal Hamiltonian whose blocks all have size 1
+        t = 0.5
+        if case.startswith("identities-L3"):
+            ctx = identities_l3_context(int(case[-1]))
+            a, keep = DenseOperator.single_site(-3, PAULI["sz"]), SiteSupport(-3, -2)
+        elif case.startswith("Heisenberg"):
+            geom = ChainGeometry(3, 2)
+            phi = NNInteraction(geom, uniform_bond=heisenberg_bond(1.0))
+            ctx = EvolutionContext(build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom), geom)
+            assert len(ctx.spectral_blocks) == 8
+            t = float(case.split("=")[1])
+            # at t = 0, A outside keep, so U acts on A's site and the commutators do not vanish
+            a, keep = DenseOperator.single_site(-1, PAULI["sz"]), SiteSupport(-2, 0) if t else SiteSupport(0, 2)
+        elif case == "qutrit":
+            geom, phi = random_chain(rng, local_dim=3)
+            ctx = EvolutionContext(build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom), geom)
+            a, keep = DenseOperator.single_site(0, np.diag([1.0, 1.0, -1.0])), SiteSupport(-1, 1)
+        else:
+            geom = ChainGeometry(3, 2)
+            imp = ImpuritySpec.uniform([0], np.diag([1.0, -1.0]), 5.0)
+            ctx = EvolutionContext(build_perturbed_hamiltonian(NNInteraction.zero(geom), imp, geom), geom)
+            assert all(len(idx) == 1 for idx in ctx.spectral_blocks)
+            # A outside keep, so U acts on A's site and the commutators do not vanish
+            a, keep = DenseOperator.single_site(-3, PAULI["sz"]), SiteSupport(-2, -1)
+        unitaries = epsilon_unitaries(keep, ctx.geom)
+        evolved = ctx.evolve(a, t).matrix
+        split = split_commutator_norms(ctx, a, t, unitaries)
+        gram = _monomial_commutator_norms(evolved, unitaries)
+        top = float(gram.max())  # what max_commutator_norm(evolved, unitaries) returns
+        assert top > 1e-3
+        assert split.shape == (len(unitaries),)
+        assert np.max(np.abs(split - gram)) <= 1e-12 * top
+        assert abs(split.max() - top) <= 1e-12 * top
+
+    def test_chunks_fit_the_gram_budget(self, rng, monkeypatch):
+        # a budget of three gathered stacks gives chunks of three unitaries,
+        # and the norms do not depend on the chunking
+        ctx = identities_l3_context(5)
+        a = DenseOperator.single_site(-3, PAULI["sz"])
+        unitaries = epsilon_unitaries(SiteSupport(-3, -1), ctx.geom)
+        want = split_commutator_norms(ctx, a, 0.5, unitaries)
+        monkeypatch.setattr(dynamics, "_GRAM_CHUNK_BYTES", 3 * 16 * 128 * 64)
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(m.shape) or eigvalsh(m))
+        got = split_commutator_norms(ctx, a, 0.5, unitaries)
+        assert {shape[0] for shape in stacks[:-1]} == {3} and stacks[-1][0] <= 3
+        assert all(shape[1:] == (64, 64) for shape in stacks)
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_rejects_a_without_two_values(self, rng):
+        ctx = identities_l3_context(5)
+        unitaries = epsilon_unitaries(SiteSupport(-3, -2), ctx.geom)
+        with pytest.raises(ValueError, match="two distinct values"):
+            split_commutator_norms(ctx, DenseOperator.single_site(-3, PAULI["sx"]), 0.5, unitaries)
 
 
 def decoupling_instance(rng, coupling, half_length=3, bond_norm=1.0):

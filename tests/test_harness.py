@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import lrchain
 from lrchain.bounds import BoundOutcome, LRParameters, apriori_bound
 from lrchain.cli import _cmd_constants, build_parser
 from lrchain.cli import main as cli_main
-from lrchain.dynamics import RECONSTRUCTION_TOL, EvolutionContext
+from lrchain.dynamics import RECONSTRUCTION_TOL, EvolutionContext, split_commutator_norms
 from lrchain.geometry import ChainGeometry, SiteSupport
 from lrchain.harness import (
     CONSTANTS_CSV_HEADER,
@@ -28,13 +29,22 @@ from lrchain.harness import (
     constants_rows,
     find_improvement_points,
     pick_decoupling_site,
+    projection_commutator_norm,
     run_identities,
     run_verify,
     write_report,
 )
 from lrchain.disorder import heisenberg_bond
 from lrchain.model import ImpuritySpec, NNInteraction, build_decoupled_hamiltonian, build_perturbed_hamiltonian
-from lrchain.operators import PAULI, commutator, embed_local, operator_norm
+from lrchain.operators import (
+    PAULI,
+    DenseOperator,
+    commutator,
+    embed_local,
+    epsilon_unitaries,
+    max_commutator_norm,
+    operator_norm,
+)
 from util import assert_json_object_errors, random_hermitian
 
 
@@ -594,6 +604,42 @@ class TestRunIdentities:
         assert {c["status"] for c in doc["checks"]} <= {"pass", "skipped"}
         names = [f.name for f in dataclasses.fields(IdentityCheck)]
         assert [list(c) for c in doc["checks"]] == [names] * len(report.checks)
+
+    def test_projection_detail_parses_as_the_benchmark_oracle_reads_it(self, rng):
+        # perfbench/oracle.py reads both norms from the detail with this
+        # pattern and recomputes the left-hand side independently
+        report = run_identities(make_config(rng, t_grid=(0.5,)))
+        check = report.checks[-1]
+        assert check.name == "local_projection_inequality" and check.status == "pass"
+        match = re.search(r"= (\S+) vs eps \* norm = (\S+) on", check.detail)
+        assert match is not None, check.detail
+        lhs, rhs = (float(g) for g in match.groups())
+        assert 0.0 < lhs <= rhs
+        assert check.detail.endswith("513 unitaries")
+
+    def test_projection_bound_routes(self, rng):
+        # a two-valued diagonal A takes the split route, bit for bit; every
+        # other A takes max_commutator_norm on the evolved matrix, bit for bit
+        cases = (
+            (2, DenseOperator.single_site(-2, PAULI["sz"]), True),
+            (2, DenseOperator.single_site(-2, PAULI["sx"]), False),
+            (3, DenseOperator.single_site(-1, np.diag([1.0, 1.0, -1.0])), True),
+            (3, DenseOperator.single_site(-1, np.diag([1.0, 0.0, -1.0])), False),
+        )
+        for local_dim, a, split in cases:
+            geom = ChainGeometry(2 if local_dim == 2 else 1, local_dim)
+            bonds = {x: random_hermitian(rng, local_dim**2, norm=1.0) for x in range(-geom.half_length, geom.half_length)}
+            h = build_perturbed_hamiltonian(NNInteraction(geom, bonds=bonds), ImpuritySpec.empty(), geom)
+            ctx = EvolutionContext(h, geom)
+            evolved = ctx.evolve(a, 0.5)
+            unitaries = epsilon_unitaries(a.support, geom)
+            got = projection_commutator_norm(ctx, a, 0.5, evolved, unitaries)
+            if split:
+                assert got == np.max(split_commutator_norms(ctx, a, 0.5, unitaries)), a.matrix
+            else:
+                assert got == max_commutator_norm(evolved.matrix, unitaries), a.matrix
+            assert got > 1e-3
+            assert projection_commutator_norm(ctx, a, 0.5, evolved, []) == 0.0
 
     def test_identity_check_status_rule(self):
         assert IdentityCheck.measured("x", 1e-12, 1e-9).status == "pass"
