@@ -224,6 +224,24 @@ def _hypothesis_failure(params: LRParameters, support_a: SiteSupport, support_b:
     return None
 
 
+def _window_or_outcome(
+    params: LRParameters, support_a: SiteSupport, support_b: SiteSupport, imp: ImpuritySpec, t: float, scale: float
+) -> tuple:
+    """The impurity window of `main_bound` and `uniform_impurity_bound` as (None, window), or (outcome, ()).
+
+    The outcome settles the bound before any impurity factor: not applicable
+    when a hypothesis fails, and the a-priori fallback when the window is empty.
+    """
+    failure = _hypothesis_failure(params, support_a, support_b, imp)
+    if failure is not None:
+        return BoundOutcome.not_applicable(failure), ()
+    window = impurity_window(support_a, support_b, imp)
+    if window:
+        return None, window
+    fallback = apriori_bound(params, t, support_a.distance(support_b), scale)
+    return BoundOutcome(fallback, True, "no impurities in the window; a-priori bound used as fallback"), ()
+
+
 def main_bound(
     params: LRParameters,
     local_dim: int,
@@ -239,18 +257,11 @@ def main_bound(
     [max S_A + 3, min S_B - 3], times the time and space profiles of the
     window size.  An empty window falls back to the a-priori bound.
     """
-    failure = _hypothesis_failure(params, support_a, support_b, imp)
-    if failure is not None:
-        return BoundOutcome.not_applicable(failure)
-    window = impurity_window(support_a, support_b, imp)
+    outcome, window = _window_or_outcome(params, support_a, support_b, imp, t, scale)
+    if outcome is not None:
+        return outcome
     n = len(window)
     d = support_a.distance(support_b)
-    if n == 0:
-        return BoundOutcome(
-            apriori_bound(params, t, d, scale),
-            True,
-            "no impurities in the window; a-priori bound used as fallback",
-        )
     product = imp.coupling_gap_product(window)
     c = main_constant(params, local_dim)
     with np.errstate(over="ignore"):
@@ -282,18 +293,11 @@ def uniform_impurity_bound(
         return BoundOutcome.not_applicable(
             "uniform impurity bound needs identical on-site matrices and couplings at every site"
         )
-    failure = _hypothesis_failure(params, support_a, support_b, imp)
-    if failure is not None:
-        return BoundOutcome.not_applicable(failure)
-    window = impurity_window(support_a, support_b, imp)
+    outcome, window = _window_or_outcome(params, support_a, support_b, imp, t, scale)
+    if outcome is not None:
+        return outcome
     n = len(window)
     d = support_a.distance(support_b)
-    if n == 0:
-        return BoundOutcome(
-            apriori_bound(params, t, d, scale),
-            True,
-            "no impurities in the window; a-priori bound used as fallback",
-        )
     gap = imp.impurities[0].gap
     lam = abs(imp.coupling(imp.sites[0]))
     k = main_constant(params, local_dim) / gap

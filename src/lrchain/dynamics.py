@@ -70,35 +70,40 @@ def _check_full_chain_hamiltonian(hamiltonian: DenseOperator, geom: ChainGeometr
     hamiltonian.validate_dim(geom)
 
 
-def _decompose(blocks: np.ndarray) -> tuple:
-    """Eigendecomposition of a Hermitian block or of a stack of them (..., k, k).
-
-    Returns (eigenvalues, eigenvectors, ||V diag(w) V^dag - block||_F^2,
-    ||block||_F^2), the last two with one entry per member.
-    """
-    evals, evecs = hermitian_spectral(blocks)
-    rebuilt = (evecs * evals[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
-    rebuilt -= blocks
-    return evals, evecs, _squared_frobenius(rebuilt), _squared_frobenius(blocks)
-
-
 def _squared_frobenius(m: np.ndarray) -> np.ndarray:
     return np.sum(m.real**2 + m.imag**2, axis=(-2, -1))
 
 
-def _reconstruction_residual(squared_residual, squared_norm) -> np.ndarray:
-    """Relative Frobenius residual of each rebuilt Hamiltonian from per-block sums; raises above RECONSTRUCTION_TOL.
+def _block_spectra(h: np.ndarray, groups: list, diagonals: np.ndarray) -> tuple:
+    """Eigendecompose H_r = H + diag(d_r) on each group, a union of components of ``H != 0``, for each row d_r.
 
-    Off-block entries are exactly zero in H and in the rebuilt matrix, so
-    both Frobenius norms are sums over blocks.  With several Hamiltonians
-    the first one over tolerance raises.
+    Per group, one stacked `hermitian_spectral`, whose members get the bits
+    they would get alone.  Returns one stacked (eigenvalues, eigenvectors)
+    pair per group, and the reconstruction residual of each H_r: the
+    relative Frobenius residual of the blocks' V diag(w) V^dag against H_r,
+    summed over groups since off-block entries are zero in both.  The first
+    member that is not Hermitian or is over RECONSTRUCTION_TOL raises, with
+    the text it would raise alone.
     """
+    spectra = []
+    squared_residual = squared_norm = 0.0
+    for idx in groups:
+        k = len(idx)
+        stack = np.zeros((len(diagonals), k, k), dtype=complex)
+        stack[:, np.arange(k), np.arange(k)] = diagonals[:, idx]
+        stack += h[np.ix_(idx, idx)]
+        evals, evecs = hermitian_spectral(stack)
+        rebuilt = (evecs * evals[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+        rebuilt -= stack
+        squared_residual += _squared_frobenius(rebuilt)
+        squared_norm += _squared_frobenius(stack)
+        del stack, rebuilt
+        spectra.append((evals, evecs))
     residual = np.sqrt(squared_residual) / np.maximum(np.sqrt(squared_norm), 1e-300)
     over = np.flatnonzero(residual > RECONSTRUCTION_TOL)
     if over.size:
-        worst = float(np.ravel(residual)[over[0]])
-        raise ValueError(f"spectral reconstruction residual {worst:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
-    return residual
+        raise ValueError(f"spectral reconstruction residual {residual[over[0]]:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
+    return spectra, residual
 
 
 def _rotate(evecs: np.ndarray, *blocks: np.ndarray) -> tuple:
@@ -175,8 +180,7 @@ class EvolutionContext:
     (eigenvalues, eigenvectors) pair per block, in the order of
     `spectral_blocks`, with V_I of shape len(idx) x len(idx); `eigenvalues`
     is their concatenation, ascending within each block but not across
-    blocks.  `reconstruction_residual` is the relative Frobenius residual of
-    the blocks' V_I diag(w_I) V_I^dag against H.
+    blocks.  `reconstruction_residual` is the one `_block_spectra` gives H.
     """
 
     def __init__(self, hamiltonian: DenseOperator, geom: ChainGeometry):
@@ -185,22 +189,22 @@ class EvolutionContext:
         self.hamiltonian = hamiltonian
         h = hamiltonian.matrix
         self.spectral_blocks = connected_components(h != 0)
-        self.spectra = []
-        squared_residual = squared_norm = 0.0
-        for idx in self.spectral_blocks:
-            evals, evecs, block_residual, block_norm = _decompose(h[np.ix_(idx, idx)])
-            self.spectra.append((evals, evecs))
-            squared_residual += block_residual
-            squared_norm += block_norm
+        spectra, residual = _block_spectra(h, self.spectral_blocks, np.zeros((1, len(h))))
+        self.spectra = [(evals[0], evecs[0]) for evals, evecs in spectra]
         self.eigenvalues = np.concatenate([evals for evals, _ in self.spectra])
-        self.reconstruction_residual = float(_reconstruction_residual(squared_residual, squared_norm))
+        self.reconstruction_residual = float(residual[0])
+        # the basis states block by block, and the position where each block starts
+        self._order = np.concatenate(self.spectral_blocks)
+        self._starts = np.cumsum([0] + [len(idx) for idx in self.spectral_blocks[:-1]])
 
     def evolve(self, a: DenseOperator, t: float, weight=None) -> DenseOperator:
         """Heisenberg evolution exp(itH) A exp(-itH), embedded on the full chain.
 
-        Runs block pair by block pair: with p = exp(itw),
-        out[I, J] = V_I (p_I p_J^* . V_I^dag A[I, J] V_J) V_J^dag, and a pair
-        where A is zero stays zero.  `weight`, when given, maps each Bohr
+        Runs over the block pairs (I, J) where the embedded A has a nonzero
+        entry, found by reducing A's nonzero pattern over the blocks before
+        any gather of A: with p = exp(itw),
+        out[I, J] = V_I (p_I p_J^* . V_I^dag A[I, J] V_J) V_J^dag, and every
+        other pair stays zero.  `weight`, when given, maps each Bohr
         frequency w_m - w_n to a factor that also multiplies eigenbasis entry
         (m, n), at t = 0 too.
         """
@@ -208,18 +212,17 @@ class EvolutionContext:
         if t == 0.0 and weight is None:
             return full
         out = np.zeros(full.matrix.shape, dtype=complex)
-        blocks = [(idx, w, v, np.exp(1j * t * w)) for idx, (w, v) in zip(self.spectral_blocks, self.spectra)]
-        for rows, w_i, v_i, p_i in blocks:
-            for cols, w_j, v_j, p_j in blocks:
-                pair = np.ix_(rows, cols)
-                m = full.matrix[pair]
-                if not m.any():
-                    continue
-                core = v_i.conj().T @ m @ v_j
-                core *= p_i[:, None] * p_j.conj()[None, :]
-                if weight is not None:
-                    core *= weight(w_i[:, None] - w_j[None, :])
-                out[pair] = v_i @ core @ v_j.conj().T
+        phases = [np.exp(1j * t * w) for w, _ in self.spectra]
+        by_column_block = np.logical_or.reduceat((full.matrix != 0)[:, self._order], self._starts, axis=1)
+        touched = np.logical_or.reduceat(by_column_block[self._order], self._starts, axis=0)
+        for i, j in zip(*np.nonzero(touched)):
+            (w_i, v_i), (w_j, v_j) = self.spectra[i], self.spectra[j]
+            block = np.ix_(self.spectral_blocks[i], self.spectral_blocks[j])
+            core = v_i.conj().T @ full.matrix[block] @ v_j
+            core *= phases[i][:, None] * phases[j].conj()[None, :]
+            if weight is not None:
+                core *= weight(w_i[:, None] - w_j[None, :])
+            out[block] = v_i @ core @ v_j.conj().T
         return DenseOperator(full.support, out)
 
 
@@ -286,8 +289,8 @@ def commutator_norm_table(
     or from a generator; it is read one chunk at a time, so a generator
     keeps only one chunk of them in memory.  Returns the norms, of shape
     (R, len(times)), and the reconstruction residual of each H_r, as
-    `EvolutionContext.reconstruction_residual` defines it.  For one
-    Hamiltonian H, pass H0 = H and a single all-zero diagonal and read row 0.
+    `_block_spectra` defines it.  For one Hamiltonian H, pass H0 = H and a
+    single all-zero diagonal and read row 0.
 
     Basis states are grouped into the connected components of
     (H0 != 0) | (A != 0) | (B != 0) for the embedded A and B.  Every H_r
@@ -325,13 +328,13 @@ def commutator_norm_table(
     column does not depend on H: it is formed once in the computational
     basis, where disjoint supports commute exactly.
 
-    The groups are found and gathered from H0, A and B once.  The
-    Hamiltonians then run in chunks: per group, a chunk takes one stacked
-    `hermitian_spectral`, one stacked reconstruction check, one stacked
-    rotation and one stacked norm per time point, and each member gets the
-    bits it would get in a chunk of its own.  No dense eigenvector matrix of
-    the chain is formed.  The chunk holds as many Hamiltonians as one stack
-    of the largest group fits in `_STACK_CHUNK_BYTES`.
+    The groups are found, and A and B gathered, once.  The Hamiltonians
+    then run in chunks: a chunk takes one `_block_spectra` call, then per
+    group one stacked rotation and one stacked norm per time point, and
+    each member gets the bits it would get in a chunk of its own.  No dense
+    eigenvector matrix of the chain is formed.  The chunk holds as many
+    Hamiltonians as one stack of the largest group fits in
+    `_STACK_CHUNK_BYTES`.
     """
     _check_full_chain_hamiltonian(h0, geom)
     h = h0.matrix
@@ -349,7 +352,7 @@ def commutator_norm_table(
             b_part = _value_sides(np.diagonal(b_full.matrix)[idx], b_values)
             if not len(b_part[0]):
                 b_part = None
-        gathered.append((idx, h[block], a_full.matrix[block], b_part))
+        gathered.append((a_full.matrix[block], b_part))
     largest = max(len(idx) for idx in groups)
     chunk = max(1, _STACK_CHUNK_BYTES // (16 * largest * largest))  # 16 bytes per complex128 entry
 
@@ -360,17 +363,10 @@ def commutator_norm_table(
             raise ValueError(
                 f"expected diagonals of shape (R, {h.shape[0]}), got rows of shape {chunk_diagonals.shape[1:]}"
             )
+        spectra, residuals = _block_spectra(h, groups, chunk_diagonals)
         norms = np.zeros((len(chunk_diagonals), len(times)))
-        squared_residual = squared_norm = 0.0
-        for idx, h_block, a_block, b_part in gathered:
-            k = len(idx)
-            stack = np.zeros((len(chunk_diagonals), k, k), dtype=complex)
-            stack[:, np.arange(k), np.arange(k)] = chunk_diagonals[:, idx]
-            stack += h_block
-            evals, evecs, block_residual, block_norm = _decompose(stack)
-            del stack
-            squared_residual += block_residual
-            squared_norm += block_norm
+        for a_block, b_part in gathered:
+            evals, evecs = spectra.pop(0)  # popped, so each group's eigenvectors are freed after its rotation
             if b_part is None:
                 continue  # B is constant on this group, so it commutes with X
             if b_values is not None:
@@ -384,7 +380,7 @@ def commutator_norm_table(
                 if t != 0.0:
                     np.maximum(norms[:, j], block_norms(t), out=norms[:, j])
         norm_chunks.append(norms)
-        residual_chunks.append(_reconstruction_residual(squared_residual, squared_norm))
+        residual_chunks.append(residuals)
     norms, residuals = np.concatenate(norm_chunks), np.concatenate(residual_chunks)
     if 0.0 in times:
         norms[:, [t == 0.0 for t in times]] = operator_norm(commutator(a_full, b_full))

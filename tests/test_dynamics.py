@@ -23,6 +23,7 @@ from lrchain.operators import (
     commutator,
     embed_local,
     epsilon_unitaries,
+    hermitian_spectral,
     operator_norm,
 )
 from util import random_complex, random_hermitian
@@ -190,23 +191,39 @@ class TestEvolutionContext:
         geom, h = heisenberg_field_chain(rng)
         ctx = EvolutionContext(h, geom)
         assert [len(idx) for idx in ctx.spectral_blocks] == [1, 5, 10, 10, 5, 1]
-        # one (eigenvalues, eigenvectors) pair per block, of the block's size
-        for idx, (evals, evecs) in zip(ctx.spectral_blocks, ctx.spectra, strict=True):
-            assert evals.shape == (len(idx),) and evecs.shape == (len(idx), len(idx))
+        # one (eigenvalues, eigenvectors) pair per block, of the block's size,
+        # equal bit for bit to the decomposition of that block passed alone
+        for context in (dense, ctx):
+            m = context.hamiltonian.matrix
+            for idx, (evals, evecs) in zip(context.spectral_blocks, context.spectra, strict=True):
+                assert evals.shape == (len(idx),) and evecs.shape == (len(idx), len(idx))
+                alone_evals, alone_evecs = hermitian_spectral(m[np.ix_(idx, idx)])
+                assert np.array_equal(evals, alone_evals) and np.array_equal(evecs, alone_evecs)
         assert np.array_equal(ctx.eigenvalues, np.concatenate([evals for evals, _ in ctx.spectra]))
 
     def test_blocked_evolution_matches_expm(self, rng):
+        # A joins blocks in both cases: a complex A on [-1, 0] on the
+        # Heisenberg chain with sz fields (its S^z sectors), and sx at the
+        # impurity of the zero-bond chain with an sz impurity, whose 128
+        # blocks all have size 1
         from scipy.linalg import expm
 
         geom, h = heisenberg_field_chain(rng)
-        ctx = EvolutionContext(h, geom)
-        assert len(ctx.spectral_blocks) == geom.n_sites + 1
-        a = DenseOperator(SiteSupport(-1, 0), random_complex(rng, 4))
-        a_full = embed_local(a, geom.full_support, geom).matrix
-        for t in (-1.3, 0.4, 2.0):
-            u = expm(1j * t * h.matrix)
-            want = u @ a_full @ u.conj().T
-            assert operator_norm(ctx.evolve(a, t).matrix - want) <= 1e-11
+        zero_geom = ChainGeometry(3, 2)
+        imp = ImpuritySpec.uniform([0], PAULI["sz"], 5.0)
+        zero_h = build_perturbed_hamiltonian(NNInteraction.zero(zero_geom), imp, zero_geom)
+        cases = (
+            (geom, h, DenseOperator(SiteSupport(-1, 0), random_complex(rng, 4)), geom.n_sites + 1),
+            (zero_geom, zero_h, DenseOperator.single_site(0, PAULI["sx"]), zero_geom.total_dim),
+        )
+        for geom, h, a, n_blocks in cases:
+            ctx = EvolutionContext(h, geom)
+            assert len(ctx.spectral_blocks) == n_blocks
+            a_full = embed_local(a, geom.full_support, geom).matrix
+            for t in (-1.3, 0.4, 2.0):
+                u = expm(1j * t * h.matrix)
+                want = u @ a_full @ u.conj().T
+                assert operator_norm(ctx.evolve(a, t).matrix - want) <= 1e-11
 
     def test_weighted_evolution_matches_expm_differences(self, rng):
         # weights cos(hw) and 2i sin(hw) of the Bohr frequency w give the
@@ -296,6 +313,16 @@ class TestCommutatorNormTable:
                 want = np.array([operator_norm(commutator(ctx.evolve(a, t), b_full)) for t in self.TIMES])
                 floor = 4 * eps * dim * (operator_norm(h) * np.abs(self.TIMES) + 1.0) * scale
                 assert np.all(np.abs(norms[r] - want) <= floor + 1e-9 * want), r
+        # a random-bond chain is one block, so its one group is that block too
+        random_geom, phi = random_chain(rng)
+        assert random_geom == geom
+        h0 = build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom)
+        a, b = DenseOperator.single_site(-2, PAULI["sz"]), DenseOperator.single_site(2, PAULI["sz"])
+        _, residuals = commutator_norm_table(h0, fields, a, b, geom, self.TIMES)
+        for r, d in enumerate(fields):
+            ctx = EvolutionContext(DenseOperator(geom.full_support, h0.matrix + np.diag(d)), geom)
+            assert len(ctx.spectral_blocks) == 1
+            assert residuals[r] == ctx.reconstruction_residual, r
 
     def test_two_valued_route_matches_dense_evolution(self, rng, monkeypatch):
         # a Hermitian pair with a B that is diagonal with two distinct values
