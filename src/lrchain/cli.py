@@ -39,28 +39,25 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 
-def _parent_flags() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    parent.add_argument("--out", metavar="PREFIX", help="write PREFIX.csv and PREFIX.json instead of stdout")
-    parent.add_argument("--seed", metavar="U64", type=int, help="override the configured seed")
-    parent.add_argument(
-        "--threads", metavar="N", type=int, default=1, help="accepted for compatibility and ignored; runs are serial"
-    )
-    return parent
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrchain",
         description="Finite spin-chain commutator bounds: exact dynamics vs analytic constants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parent = _parent_flags()
+    # the flags of every subcommand, and those plus the run flags of verify, identities and disorder
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config", metavar="PATH", help="JSON configuration file")
+    files.add_argument("--out", metavar="PREFIX", help="write PREFIX.csv and PREFIX.json instead of stdout")
+    run = argparse.ArgumentParser(add_help=False, parents=[files])
+    run.add_argument("--seed", metavar="U64", type=int, help="override the configured seed")
+    run.add_argument(
+        "--threads", metavar="N", type=int, default=1, help="accepted for compatibility and ignored; runs are serial"
+    )
 
     p_const = sub.add_parser(
         "constants",
-        parents=[parent],
+        parents=[files],
         help="tabulate derived constants (c_mu, K_mu, C0, v, ...) per decay rate",
     )
     p_const.add_argument("--mu", metavar="LIST", help="comma-separated decay rates (overrides config)")
@@ -68,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--local-dim", metavar="D", type=int, help="on-site dimension (overrides config)")
     p_const.add_argument("--radius", metavar="R", type=int, help="lattice-sum radius (default: adaptive)")
 
-    sub.add_parser("verify", parents=[parent], help="sweep a time grid: exact commutator norms vs bounds")
-    sub.add_parser("identities", parents=[parent], help="replay the algebraic identities and report residuals")
-    sub.add_parser("disorder", parents=[parent], help="Monte Carlo sweep over random sparse-field chains")
+    sub.add_parser("verify", parents=[run], help="sweep a time grid: exact commutator norms vs bounds")
+    sub.add_parser("identities", parents=[run], help="replay the algebraic identities and report residuals")
+    sub.add_parser("disorder", parents=[run], help="Monte Carlo sweep over random sparse-field chains")
     return parser
 
 

@@ -29,7 +29,7 @@ from .model import (
     offdiagonal_block,
     perturbation_operator,
 )
-from .operators import _GRAM_CHUNK_BYTES, DenseOperator, commutator, embed_local, hermitian_spectral, operator_norm
+from .operators import DenseOperator, commutator, commutator_norms, embed_local, gram_norms, hermitian_spectral, operator_norm
 
 RECONSTRUCTION_TOL = 1e-10
 # Largest phase advance w*h of a central-difference step; the relative
@@ -153,7 +153,7 @@ def two_values(m: np.ndarray):
     """The two values m_1 < m_2 of a matrix that is exactly diagonal, exactly real and exactly two-valued; None otherwise.
 
     The one selection test of the split routes, in `commutator_norm_table`
-    and in `split_commutator_norms`: all comparisons are exact, so the
+    and in `projection_commutator_norm`: all comparisons are exact, so the
     route depends on the input alone.
     """
     diagonal = np.diagonal(m)
@@ -226,8 +226,24 @@ class EvolutionContext:
         return DenseOperator(full.support, out)
 
 
-def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, unitaries: list) -> np.ndarray:
-    """|| [tau_t(A), U] || for each entry of `epsilon_unitaries`, for a local A that `two_values` accepts.
+def projection_commutator_norm(ctx: EvolutionContext, a: DenseOperator, t: float, unitaries: list) -> float:
+    """max || [tau_t(A), U] || over the entries `unitaries` of `epsilon_unitaries`; 0 when there are none.
+
+    The one route choice of the projection check: a local A that
+    `two_values` accepts takes `split_commutator_norms`, on Gram matrices of
+    half the size or less, and any other A takes
+    `lrchain.operators.commutator_norms` on ctx.evolve(a, t).
+    """
+    values = two_values(a.matrix)
+    if values is None:
+        norms = commutator_norms(ctx.evolve(a, t).matrix, unitaries)
+    else:
+        norms = split_commutator_norms(ctx, a, t, unitaries, values)
+    return float(np.max(norms, initial=0.0))
+
+
+def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, unitaries: list, values) -> np.ndarray:
+    """|| [tau_t(A), U] || for each entry of `epsilon_unitaries`, for a local A whose `two_values` are `values`.
 
     Let a_1 < a_2 be the values of A, E_k the basis states on which the
     embedded A equals a_k, and Q_k = exp(itH) E_k, so that
@@ -241,18 +257,14 @@ def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, un
     and U'_12 U'_12^dag = 1 - U'_11 U'_11^dag, which have the same
     eigenvalues.  Hence || [tau_t(A), U] || = (a_2 - a_1) || Q_s^dag U Q_l ||,
     Q_s the side with fewer columns: the square root of the top eigenvalue
-    of a Gram matrix of size min(k_1, k_2), where `max_commutator_norm`
-    takes one of size n.
+    of a Gram matrix of size min(k_1, k_2), where
+    `lrchain.operators.commutator_norms` takes one of size n.
 
     The columns of exp(itH) are gathered from the context's per-block
     spectra, V_I p_I V_I^dag with p = exp(itw).  U Q_l is a gather of the
-    rows of Q_l times U's phases, and each chunk of unitaries takes one
-    stacked product Q_s^dag (U Q_l) and one stacked `eigvalsh`; the chunk's
-    gathered stack fits in `_GRAM_CHUNK_BYTES`.
+    rows of Q_l times U's phases, and `lrchain.operators.gram_norms` walks
+    the unitaries, with one stacked product Q_s^dag (U Q_l) per chunk.
     """
-    values = two_values(a.matrix)
-    if values is None:
-        raise ValueError("the split route needs an exactly diagonal, real A with exactly two distinct values")
     geom = ctx.geom
     n = geom.total_dim
     propagator = np.zeros((n, n), dtype=complex)
@@ -261,16 +273,11 @@ def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, un
     short, long = _value_sides(np.diagonal(embed_local(a, geom.full_support, geom).matrix), values)
     q_short_dag, q_long = propagator[:, short].conj().T, propagator[:, long]
     del propagator
-    chunk = max(1, _GRAM_CHUNK_BYTES // (16 * n * len(long)))  # 16 bytes per complex128 entry
-    norms = np.empty(len(unitaries))
-    for start in range(0, len(unitaries), chunk):
-        batch = unitaries[start : start + chunk]
-        perms = np.array([perm for _, perm, _ in batch])
-        phases = np.array([ph for _, _, ph in batch])
-        y = q_short_dag @ (q_long[perms] * phases[..., None])
-        gram = y @ y.conj().swapaxes(-1, -2)
-        norms[start : start + len(batch)] = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-    return (values[1] - values[0]) * norms
+
+    def build(perms, phases):
+        return q_short_dag @ (q_long[perms] * phases[..., None])
+
+    return (values[1] - values[0]) * gram_norms(unitaries, n * len(long), build)
 
 
 # bytes of one stack of the largest group over a chunk of Hamiltonians in

@@ -37,11 +37,9 @@ from .bounds import (
 )
 from .dynamics import (
     DecoupledDynamics,
-    EvolutionContext,
     commutator_norm_table,
     connected_components,
-    split_commutator_norms,
-    two_values,
+    projection_commutator_norm,
 )
 from .geometry import ChainGeometry, SiteSupport, SupportError
 from .model import (
@@ -58,7 +56,6 @@ from .operators import (
     commutator,
     conditional_expectation,
     epsilon_unitaries,
-    max_commutator_norm,
     operator_norm,
 )
 from .serialize import (
@@ -558,20 +555,6 @@ def pick_decoupling_site(cfg: ExperimentConfig) -> int:
     )
 
 
-def projection_commutator_norm(
-    ctx: EvolutionContext, a: DenseOperator, t: float, evolved: DenseOperator, unitaries: list
-) -> float:
-    """max ||[tau_t(A), U]|| over `unitaries`, with `evolved` = ctx.evolve(a, t); 0 when there are none.
-
-    A local A that `two_values` accepts takes `split_commutator_norms`, on
-    Gram matrices of half the size or less; any other A takes
-    `max_commutator_norm` on the evolved matrix.
-    """
-    if two_values(a.matrix) is None:
-        return max_commutator_norm(evolved.matrix, unitaries)
-    return float(np.max(split_commutator_norms(ctx, a, t, unitaries), initial=0.0))
-
-
 def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
     """Replay the identity suite behind the impurity-improved bound.
 
@@ -659,8 +642,8 @@ def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
         """||(id - E_keep)(tau_t(A))|| against its bound, the largest ||[tau_t(A), U]|| over `epsilon_unitaries`.
 
         keep is A's support widened by one site on each side.  The bound
-        comes from `projection_commutator_norm`: the split route for a
-        two-valued diagonal A such as sz, `max_commutator_norm` otherwise.
+        comes from `lrchain.dynamics.projection_commutator_norm`, which
+        picks its route from A alone.
         """
         evolved = dd.full.evolve(a, t)
         keep = SiteSupport(
@@ -670,7 +653,7 @@ def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
         unitaries = epsilon_unitaries(keep, geom)
         projected = conditional_expectation(evolved, keep, geom)
         lhs = operator_norm((evolved - projected).matrix)
-        rhs = projection_commutator_norm(dd.full, a, t, evolved, unitaries)
+        rhs = projection_commutator_norm(dd.full, a, t, unitaries)
         return max(lhs - rhs, 0.0), (
             f"||(id - E)(evolved A)|| = {fmt_float(lhs)} vs eps * norm = "
             f"{fmt_float(rhs)} on keep = {keep}; {len(unitaries)} unitaries"
@@ -722,7 +705,3 @@ def constants_rows(mus, phi_norm: float, local_dim: int, radius: int | None = No
             )
         )
     return rows
-
-
-def constants_csv(mus, phi_norm: float, local_dim: int, radius: int | None = None) -> str:
-    return render_csv(CONSTANTS_CSV_HEADER, constants_rows(mus, phi_norm, local_dim, radius))

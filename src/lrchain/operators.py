@@ -211,21 +211,11 @@ def conditional_expectation(a: DenseOperator, keep: SiteSupport, geom: ChainGeom
     geom.check_support(keep)
     a.validate_dim(geom)
     d = geom.local_dim
-    n = geom.n_sites
-    left = keep.lo - geom.full_support.lo     # sites traced out on the left
-    right = geom.full_support.hi - keep.hi    # sites traced out on the right
-    kept = keep.n_sites
-
-    t = a.matrix.reshape((d,) * n + (d,) * n)
-    # trace out right sites first so remaining axis indices stay valid
-    n_rem = n
-    for _ in range(right):
-        t = np.trace(t, axis1=n_rem - 1, axis2=2 * n_rem - 1)
-        n_rem -= 1
-    for _ in range(left):
-        t = np.trace(t, axis1=0, axis2=n_rem)
-        n_rem -= 1
-    reduced = t.reshape(d ** kept, d ** kept) / d ** (left + right)
+    dl = d ** (keep.lo - geom.full_support.lo)  # the sites traced out on the left
+    dk = d ** keep.n_sites
+    dr = d ** (geom.full_support.hi - keep.hi)  # the sites traced out on the right
+    # row (l, k, r), column (l', k', r'): the trace pairs l with l' and r with r'
+    reduced = np.einsum("lirljr->ij", a.matrix.reshape(dl, dk, dr, dl, dk, dr)) / (dl * dr)
     return embed_local(DenseOperator(keep, reduced), geom.full_support, geom)
 
 
@@ -282,32 +272,46 @@ def epsilon_unitaries(keep: SiteSupport, geom: ChainGeometry) -> list:
     return out
 
 
-# bytes of one stack of commutators: about 8 at dimension 128, so the
-# stacks add little to the peak resident memory.  The split route of
-# `lrchain.dynamics.split_commutator_norms` sizes its gathered stacks by it too
+# bytes of the largest array that one chunk of `gram_norms` builds: 8
+# commutators at dimension 128, so the stacks add little to the peak
+# resident memory
 _GRAM_CHUNK_BYTES = 1 << 21
 
 
-def _monomial_commutator_norms(m: np.ndarray, unitaries: list) -> np.ndarray:
-    """||[m, U]|| = ||m - U m U^dag|| for each entry of `epsilon_unitaries`.
+def gram_norms(unitaries: list, member_size: int, build) -> np.ndarray:
+    """|| y || = sqrt(lambda_max(y y^dag)) for the matrix y that `build` makes from each entry of `epsilon_unitaries`.
 
-    U m U^dag is a gather of m on rows and columns times the outer product
-    of the phases.  Each norm is sqrt(lambda_max(c^dag c)), taken over
-    stacks of commutators with one batched matmul and one batched `eigvalsh`.
+    The one loop over the unitaries, shared by this module's
+    `commutator_norms` and by `lrchain.dynamics.split_commutator_norms`.
+    `build(perms, phases)` takes the permutations and phases of a chunk of
+    entries, stacked along a leading axis, and returns the stack of their
+    matrices y.  Its largest array holds `member_size` complex entries per
+    entry, and chunks are sized so that it fits in `_GRAM_CHUNK_BYTES`.
+    Each chunk takes one stacked product y y^dag and one stacked `eigvalsh`.
     """
-    n = m.shape[0]
-    chunk = max(1, _GRAM_CHUNK_BYTES // (16 * n * n))  # 16 bytes per complex128 entry
+    chunk = max(1, _GRAM_CHUNK_BYTES // (16 * member_size))  # 16 bytes per complex128 entry
     norms = np.empty(len(unitaries))
-    c = np.empty((chunk, n, n), dtype=complex)
     for start in range(0, len(unitaries), chunk):
         batch = unitaries[start : start + chunk]
-        for i, (_, perm, phases) in enumerate(batch):
-            np.multiply(np.outer(phases, phases.conj()), m[perm][:, perm], out=c[i])
-            np.subtract(m, c[i], out=c[i])
-        stack = c[: len(batch)]
-        gram = stack.conj().transpose(0, 2, 1) @ stack
+        y = build(np.array([perm for _, perm, _ in batch]), np.array([phases for _, _, phases in batch]))
+        gram = y @ y.conj().swapaxes(-1, -2)
         norms[start : start + len(batch)] = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
     return norms
+
+
+def commutator_norms(m: np.ndarray, unitaries: list) -> np.ndarray:
+    """||[m, U]|| = ||m - U m U^dag|| for each entry of `epsilon_unitaries`, from `gram_norms`.
+
+    U m U^dag is a gather of m on rows and columns times the outer product
+    of the phases, built for a whole chunk of unitaries at once.
+    """
+
+    def build(perms, phases):
+        c = m[perms[:, :, None], perms[:, None, :]]
+        c *= phases[:, :, None] * phases.conj()[:, None, :]
+        return np.subtract(m, c, out=c)
+
+    return gram_norms(unitaries, m.size, build)
 
 
 def local_commutator_epsilon(a: DenseOperator, keep: SiteSupport, geom: ChainGeometry) -> float:
@@ -334,14 +338,7 @@ def local_commutator_epsilon(a: DenseOperator, keep: SiteSupport, geom: ChainGeo
     if norm_a == 0.0:
         return 0.0
     # ||B|| = 1: a tensor product of unitaries is unitary
-    return max_commutator_norm(a.matrix, epsilon_unitaries(keep, geom)) / norm_a
-
-
-def max_commutator_norm(m: np.ndarray, unitaries: list) -> float:
-    """max ||[m, U]|| over the entries of `epsilon_unitaries`; 0 when there are none."""
-    if not unitaries:
-        return 0.0
-    return float(np.max(_monomial_commutator_norms(m, unitaries)))
+    return float(np.max(commutator_norms(a.matrix, epsilon_unitaries(keep, geom)), initial=0.0)) / norm_a
 
 
 LOCALIZATION_TOL = 1e-10

@@ -29,7 +29,7 @@ from lrchain.disorder import (
 from lrchain.dynamics import RECONSTRUCTION_TOL, EvolutionContext, commutator_norm_table, connected_components
 from lrchain.model import build_perturbed_hamiltonian
 from lrchain.operators import PAULI, DenseOperator, commutator, embed_local, operator_norm
-from util import assert_json_object_errors, chain_hamiltonian_oracle, heavy_tail_cdf, heisenberg_sparse_field_model
+from util import assert_json_object_errors, chain_hamiltonian_oracle, ed_floor, heavy_tail_cdf, heisenberg_sparse_field_model
 
 
 def sz_edge_pair(cfg):
@@ -41,11 +41,6 @@ def dense_commutator_norms(h, a, b, geom, times) -> list:
     ctx = EvolutionContext(h, geom)
     b_full = embed_local(b, geom.full_support, geom)
     return [operator_norm(commutator(ctx.evolve(a, t), b_full)) for t in times]
-
-
-def dense_floor(h, geom, t):
-    """The dense-ED floor 4 eps dim (||H|| |t| + 1) for unit-norm A and B."""
-    return 4 * np.finfo(float).eps * geom.total_dim * (operator_norm(h) * abs(t) + 1.0)
 
 
 def config(**overrides):
@@ -526,7 +521,7 @@ class TestMonteCarloSweep:
         h = build_perturbed_hamiltonian(phi, imp, geom)
         a, b = sz_edge_pair(cfg)
         (want,) = dense_commutator_norms(h, a, b, geom, (0.5,))
-        assert abs(rep.rows[0].exact_norm - want) <= dense_floor(h, geom, 0.5) + 1e-9 * want
+        assert abs(rep.rows[0].exact_norm - want) <= ed_floor(operator_norm(h), geom.total_dim, 0.5) + 1e-9 * want
 
     @pytest.mark.parametrize(
         "overrides",
@@ -557,7 +552,7 @@ class TestMonteCarloSweep:
                 row = rep.rows[r * len(cfg.t_grid) + j]
                 assert (row.realization, row.t) == (r, t)
                 assert row.exact_norm == alone[0, j], (r, t)
-                assert abs(row.exact_norm - want) <= dense_floor(h, geom, t) + 1e-9 * want, (r, t)
+                assert abs(row.exact_norm - want) <= ed_floor(operator_norm(h), geom.total_dim, t) + 1e-9 * want, (r, t)
         assert rep.max_reconstruction_residual == max(residuals)
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])

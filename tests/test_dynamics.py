@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrchain.disorder import heisenberg_bond
-from lrchain import dynamics
+from lrchain import dynamics, operators
 from lrchain.dynamics import (
     FD_PHASE_STEP,
     RECONSTRUCTION_TOL,
@@ -10,6 +10,7 @@ from lrchain.dynamics import (
     EvolutionContext,
     commutator_norm_table,
     connected_components,
+    projection_commutator_norm,
     split_commutator_norms,
     two_values,
 )
@@ -19,14 +20,14 @@ from lrchain.operators import (
     PAULI,
     DenseOperator,
     HermiticityError,
-    _monomial_commutator_norms,
     commutator,
+    commutator_norms,
     embed_local,
     epsilon_unitaries,
     hermitian_spectral,
     operator_norm,
 )
-from util import random_complex, random_hermitian
+from util import ed_floor, random_complex, random_hermitian
 
 
 def onsite_hamiltonian(geom, site, matrix):
@@ -157,7 +158,7 @@ class TestEvolutionContext:
              DenseOperator.single_site(2, PAULI["sx"]), 1),
         )
         times = (0.0, -1.7, -0.3, 0.05, 0.8, 2.5)
-        dim, eps = geom.total_dim, np.finfo(float).eps
+        dim = geom.total_dim
         for h, a, b, n_blocks in cases:
             ctx = EvolutionContext(h, geom)
             h_norm = operator_norm(h)
@@ -171,8 +172,7 @@ class TestEvolutionContext:
             assert norms[0, 0] == 0.0
             for t, got in zip(times[1:], norms[0, 1:]):
                 want = operator_norm(commutator(ctx.evolve(a, t), b_full))
-                floor = 4 * eps * dim * (h_norm * abs(t) + 1.0) * scale
-                assert abs(got - want) <= floor + 1e-9 * want, (t, got, want)
+                assert abs(got - want) <= ed_floor(h_norm, dim, t, scale) + 1e-9 * want, (t, got, want)
             assert norms[0, -1] > 1e-3
 
     def test_connected_components(self):
@@ -286,7 +286,7 @@ class TestCommutatorNormTable:
         # dense-ED floor; where the groups are the sectors, each residual is
         # the one of that context.
         geom, h0, fields = exchange_and_fields(rng, 5)
-        eps, dim = np.finfo(float).eps, geom.total_dim
+        dim = geom.total_dim
         cases = (
             (DenseOperator.single_site(-2, PAULI["sz"]), DenseOperator.single_site(2, PAULI["sz"]), True),
             (DenseOperator.single_site(-2, np.diag(random_complex(rng, 2)[0])),
@@ -311,7 +311,7 @@ class TestCommutatorNormTable:
                 else:
                     assert 0.0 <= residuals[r] <= RECONSTRUCTION_TOL, r
                 want = np.array([operator_norm(commutator(ctx.evolve(a, t), b_full)) for t in self.TIMES])
-                floor = 4 * eps * dim * (operator_norm(h) * np.abs(self.TIMES) + 1.0) * scale
+                floor = ed_floor(operator_norm(h), dim, self.TIMES, scale)
                 assert np.all(np.abs(norms[r] - want) <= floor + 1e-9 * want), r
         # a random-bond chain is one block, so its one group is that block too
         random_geom, phi = random_chain(rng)
@@ -334,7 +334,7 @@ class TestCommutatorNormTable:
         # one-state sectors (all spins up or down) are groups on which B is
         # constant.
         geom, h0, fields = exchange_and_fields(rng, 7)
-        eps, dim = np.finfo(float).eps, geom.total_dim
+        dim = geom.total_dim
         sz = PAULI["sz"]
         cases = (
             (DenseOperator.single_site(-2, sz), DenseOperator.single_site(2, sz)),
@@ -361,7 +361,7 @@ class TestCommutatorNormTable:
                 assert residuals[r] == alone_residual[0], r
                 ctx = EvolutionContext(h, geom)
                 want = np.array([operator_norm(commutator(ctx.evolve(a, t), b_full)) for t in self.TIMES])
-                floor = 4 * eps * dim * (operator_norm(h) * np.abs(self.TIMES) + 1.0) * scale
+                floor = ed_floor(operator_norm(h), dim, self.TIMES, scale)
                 assert np.all(np.abs(norms[r] - want) <= floor), (r, norms[r], want)
                 assert norms[r, -1] > 1e-3
         assert split_calls
@@ -526,9 +526,9 @@ class TestSplitCommutatorNorms:
             a, keep = DenseOperator.single_site(-3, PAULI["sz"]), SiteSupport(-2, -1)
         unitaries = epsilon_unitaries(keep, ctx.geom)
         evolved = ctx.evolve(a, t).matrix
-        split = split_commutator_norms(ctx, a, t, unitaries)
-        gram = _monomial_commutator_norms(evolved, unitaries)
-        top = float(gram.max())  # what max_commutator_norm(evolved, unitaries) returns
+        split = split_commutator_norms(ctx, a, t, unitaries, two_values(a.matrix))
+        gram = commutator_norms(evolved, unitaries)
+        top = float(gram.max())
         assert top > 1e-3
         assert split.shape == (len(unitaries),)
         assert np.max(np.abs(split - gram)) <= 1e-12 * top
@@ -540,21 +540,26 @@ class TestSplitCommutatorNorms:
         ctx = identities_l3_context(5)
         a = DenseOperator.single_site(-3, PAULI["sz"])
         unitaries = epsilon_unitaries(SiteSupport(-3, -1), ctx.geom)
-        want = split_commutator_norms(ctx, a, 0.5, unitaries)
-        monkeypatch.setattr(dynamics, "_GRAM_CHUNK_BYTES", 3 * 16 * 128 * 64)
+        values = two_values(a.matrix)
+        want = split_commutator_norms(ctx, a, 0.5, unitaries, values)
+        monkeypatch.setattr(operators, "_GRAM_CHUNK_BYTES", 3 * 16 * 128 * 64)
         stacks = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(m.shape) or eigvalsh(m))
-        got = split_commutator_norms(ctx, a, 0.5, unitaries)
+        got = split_commutator_norms(ctx, a, 0.5, unitaries, values)
         assert {shape[0] for shape in stacks[:-1]} == {3} and stacks[-1][0] <= 3
         assert all(shape[1:] == (64, 64) for shape in stacks)
         assert np.allclose(got, want, rtol=0, atol=1e-13)
 
-    def test_rejects_a_without_two_values(self, rng):
+    def test_a_without_two_values_takes_the_gram_kernel(self):
+        # sx is not diagonal: the projection bound is the Gram kernel's
+        # maximum on the evolved matrix, bit for bit, and nothing raises
         ctx = identities_l3_context(5)
-        unitaries = epsilon_unitaries(SiteSupport(-3, -2), ctx.geom)
-        with pytest.raises(ValueError, match="two distinct values"):
-            split_commutator_norms(ctx, DenseOperator.single_site(-3, PAULI["sx"]), 0.5, unitaries)
+        a = DenseOperator.single_site(-3, PAULI["sx"])
+        unitaries = epsilon_unitaries(SiteSupport(-3, -1), ctx.geom)
+        got = projection_commutator_norm(ctx, a, 0.5, unitaries)
+        assert got == np.max(commutator_norms(ctx.evolve(a, 0.5).matrix, unitaries))
+        assert got > 1e-3
 
 
 def decoupling_instance(rng, coupling, half_length=3, bond_norm=1.0):

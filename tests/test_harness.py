@@ -13,7 +13,13 @@ import lrchain
 from lrchain.bounds import BoundOutcome, LRParameters, apriori_bound
 from lrchain.cli import _cmd_constants, build_parser
 from lrchain.cli import main as cli_main
-from lrchain.dynamics import RECONSTRUCTION_TOL, EvolutionContext, split_commutator_norms
+from lrchain.dynamics import (
+    RECONSTRUCTION_TOL,
+    EvolutionContext,
+    projection_commutator_norm,
+    split_commutator_norms,
+    two_values,
+)
 from lrchain.geometry import ChainGeometry, SiteSupport
 from lrchain.harness import (
     CONSTANTS_CSV_HEADER,
@@ -25,11 +31,9 @@ from lrchain.harness import (
     IdentityCheck,
     ObservableSpec,
     VerifyReport,
-    constants_csv,
     constants_rows,
     find_improvement_points,
     pick_decoupling_site,
-    projection_commutator_norm,
     run_identities,
     run_verify,
     write_report,
@@ -40,12 +44,13 @@ from lrchain.operators import (
     PAULI,
     DenseOperator,
     commutator,
+    commutator_norms,
     embed_local,
     epsilon_unitaries,
-    max_commutator_norm,
     operator_norm,
 )
-from util import assert_json_object_errors, random_hermitian
+from lrchain.serialize import render_csv
+from util import assert_json_object_errors, ed_floor, random_hermitian
 
 
 def make_config(
@@ -304,11 +309,10 @@ class TestRunVerify:
         h = build_perturbed_hamiltonian(phi, imp, geom)
         ctx = EvolutionContext(h, geom)
         b_full = embed_local(obs_b.operator(), geom.full_support, geom)
-        eps, dim, h_norm = np.finfo(float).eps, geom.total_dim, operator_norm(h)
+        dim, h_norm = geom.total_dim, operator_norm(h)
         for rec in report.records:
             want = operator_norm(commutator(ctx.evolve(obs_a.operator(), rec.t), b_full))
-            floor = 4 * eps * dim * (h_norm * abs(rec.t) + 1.0)
-            assert abs(rec.exact_norm - want) <= floor + 1e-9 * want, (rec.t, rec.exact_norm, want)
+            assert abs(rec.exact_norm - want) <= ed_floor(h_norm, dim, rec.t) + 1e-9 * want, (rec.t, rec.exact_norm, want)
         assert report.records[0].exact_norm == 0.0 and report.records[-1].exact_norm > 1e-3
 
     def test_no_violations_on_honest_instance(self, rng):
@@ -617,9 +621,18 @@ class TestRunIdentities:
         assert 0.0 < lhs <= rhs
         assert check.detail.endswith("513 unitaries")
 
+    def test_projection_detail_with_a_gram_route_observable(self):
+        # the identities-L3 inputs at seed 5 with sx, which is not diagonal,
+        # as A: the bound comes from the Gram kernel, end to end
+        cfg = make_config(np.random.default_rng(5))
+        cfg = dataclasses.replace(cfg, observable_a=ObservableSpec(-3, np.array(PAULI["sx"]), "sx"))
+        check = run_identities(cfg).checks[-1]
+        assert check.name == "local_projection_inequality" and check.status == "pass", check.detail
+        assert check.detail.endswith("513 unitaries")
+
     def test_projection_bound_routes(self, rng):
-        # a two-valued diagonal A takes the split route, bit for bit; every
-        # other A takes max_commutator_norm on the evolved matrix, bit for bit
+        # a two-valued diagonal A takes the split kernel, bit for bit; every
+        # other A takes the Gram kernel on the evolved matrix, bit for bit
         cases = (
             (2, DenseOperator.single_site(-2, PAULI["sz"]), True),
             (2, DenseOperator.single_site(-2, PAULI["sx"]), False),
@@ -631,15 +644,14 @@ class TestRunIdentities:
             bonds = {x: random_hermitian(rng, local_dim**2, norm=1.0) for x in range(-geom.half_length, geom.half_length)}
             h = build_perturbed_hamiltonian(NNInteraction(geom, bonds=bonds), ImpuritySpec.empty(), geom)
             ctx = EvolutionContext(h, geom)
-            evolved = ctx.evolve(a, 0.5)
             unitaries = epsilon_unitaries(a.support, geom)
-            got = projection_commutator_norm(ctx, a, 0.5, evolved, unitaries)
+            got = projection_commutator_norm(ctx, a, 0.5, unitaries)
             if split:
-                assert got == np.max(split_commutator_norms(ctx, a, 0.5, unitaries)), a.matrix
+                assert got == np.max(split_commutator_norms(ctx, a, 0.5, unitaries, two_values(a.matrix))), a.matrix
             else:
-                assert got == max_commutator_norm(evolved.matrix, unitaries), a.matrix
+                assert got == np.max(commutator_norms(ctx.evolve(a, 0.5).matrix, unitaries)), a.matrix
             assert got > 1e-3
-            assert projection_commutator_norm(ctx, a, 0.5, evolved, []) == 0.0
+            assert projection_commutator_norm(ctx, a, 0.5, []) == 0.0
 
     def test_identity_check_status_rule(self):
         assert IdentityCheck.measured("x", 1e-12, 1e-9).status == "pass"
@@ -663,7 +675,7 @@ class TestConstantsTable:
         assert radius == 128
 
     def test_csv_shape(self):
-        text = constants_csv([0.5, 1.0, 2.0], 1.0, 2)
+        text = render_csv(CONSTANTS_CSV_HEADER, constants_rows([0.5, 1.0, 2.0], 1.0, 2))
         lines = text.splitlines()
         assert lines[0] == ",".join(CONSTANTS_CSV_HEADER)
         assert len(lines) == 4
@@ -830,3 +842,11 @@ class TestCli:
         ])
         assert code == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_constants_rejects_run_flags(self, capsys):
+        # constants reads neither a seed nor a thread count, so it takes neither flag
+        for flag, value in (("--threads", "0"), ("--seed", "7")):
+            with pytest.raises(SystemExit) as info:
+                cli_main(["constants", "--mu", "1", "--phi-norm", "3", "--local-dim", "2", flag, value])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

@@ -7,10 +7,10 @@ from lrchain.operators import (
     PAULI,
     DenseOperator,
     HermiticityError,
-    _monomial_commutator_norms,
     _weyl_monomials,
     assert_localized,
     commutator,
+    commutator_norms,
     conditional_expectation,
     embed_local,
     epsilon_unitaries,
@@ -508,7 +508,7 @@ class TestLocalCommutatorEpsilon:
         for per_stack in (None, 1, 2, 4, 8):
             if per_stack is not None:
                 monkeypatch.setattr(operators, "_GRAM_CHUNK_BYTES", per_stack * 16 * n * n)
-            norms = _monomial_commutator_norms(m, unitaries)
+            norms = commutator_norms(m, unitaries)
             assert np.max(np.abs(norms - expected) / expected) <= 1e-12, per_stack
 
     @pytest.mark.parametrize("dim", [3, 4, 5])

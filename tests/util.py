@@ -2,9 +2,10 @@
 loader check, for the test suite.
 
 Every oracle recomputes its quantity by a different route than the library
-(explicit index loops, eigvalsh instead of SVD, direct summation, einsum
-instead of axis-paired traces), so agreement between the two is evidence of
-correctness rather than a tautology.
+(explicit index loops, eigvalsh instead of SVD, direct summation, an einsum
+with one letter per site instead of the library's left/kept/right blocks),
+so agreement between the two is evidence of correctness rather than a
+tautology.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def norm_oracle(m: np.ndarray) -> float:
         return 0.0
     evals = np.linalg.eigvalsh(m.conj().T @ m)
     return float(np.sqrt(max(float(evals[-1]), 0.0)))
+
+
+def ed_floor(h_norm: float, dim: int, t, ab_norm: float = 1.0):
+    """The dense-ED resolution floor 4 eps dim (||H|| |t| + 1) ||A|| ||B|| of an exact commutator norm.
+
+    `ab_norm` is ||A|| ||B||; `t` may be an array of times, giving one floor per time.
+    """
+    return 4 * np.finfo(float).eps * dim * (h_norm * np.abs(t) + 1.0) * ab_norm
 
 
 def conditional_expectation_oracle(m: np.ndarray, n_sites: int, d: int, keep: set) -> np.ndarray:
