@@ -1,10 +1,10 @@
 """Warn about benchmark reports that differ between two source trees.
 
 Writes the inputs of the verify-L4, identities-L3 and disorder-L3-mt
-workloads at seed 5 with HEAD_TREE's perfbench/workloads.py, runs each
-tree's perfbench/child.py once on its own copy of them, and prints a GitHub
-Actions `::warning::` line for each CSV that differs and for each JSON
-report that differs.  The JSON comparison leaves out the timings (keys
+workloads at seeds 5, 6 and 7 with HEAD_TREE's perfbench/workloads.py,
+runs each tree's perfbench/child.py once on its own copy of each, and
+prints a GitHub Actions `::warning::` line for each CSV that differs and
+for each JSON report that differs.  The JSON comparison leaves out the timings (keys
 ending in `_ms`) and the `model` and `out` paths, which differ between the
 two runs by construction, and names the first differing key path.  A
 differing report does not fail the run, since a change may move documented
@@ -14,6 +14,7 @@ digits; a child that exits nonzero does.
 """
 
 import filecmp
+import itertools
 import json
 import os
 import subprocess
@@ -21,7 +22,7 @@ import sys
 import tempfile
 
 WORKLOADS = ("verify-L4", "identities-L3", "disorder-L3-mt")
-SEED = 5
+SEEDS = (5, 6, 7)
 PATH_KEYS = ("model", "out")
 
 
@@ -63,12 +64,12 @@ def main(argv) -> int:
     from workloads import workloads, write_inputs
 
     with tempfile.TemporaryDirectory() as work:
-        for name in WORKLOADS:
+        for name, seed in itertools.product(WORKLOADS, SEEDS):
             workload = workloads()[name]
             outs = []
             for side, tree in (("base", base), ("head", head)):
-                workdir = os.path.join(work, name, side)
-                config = write_inputs(workload, SEED, workdir)
+                workdir = os.path.join(work, name, str(seed), side)
+                config = write_inputs(workload, seed, workdir)
                 out = os.path.join(workdir, "report")
                 cmd = [
                     sys.executable, os.path.join(tree, "perfbench", "child.py"), "--kind", workload.kind,
@@ -78,18 +79,18 @@ def main(argv) -> int:
                 subprocess.run(cmd, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
                 outs.append(out)
             if filecmp.cmp(*(out + ".csv" for out in outs), shallow=False):
-                print(f"{name} seed {SEED}: CSV identical to the base tree's")
+                print(f"{name} seed {seed}: CSV identical to the base tree's")
             else:
-                print(f"::warning::{name} seed {SEED}: CSV differs from the base tree's")
+                print(f"::warning::{name} seed {seed}: CSV differs from the base tree's")
             docs = []
             for out in outs:
                 with open(out + ".json") as fh:
                     docs.append(comparable(json.load(fh)))
             where = first_difference(*docs)
             if where is None:
-                print(f"{name} seed {SEED}: JSON identical to the base tree's apart from timings and paths")
+                print(f"{name} seed {seed}: JSON identical to the base tree's apart from timings and paths")
             else:
-                print(f"::warning::{name} seed {SEED}: JSON differs from the base tree's at {where}")
+                print(f"::warning::{name} seed {seed}: JSON differs from the base tree's at {where}")
     return 0
 
 

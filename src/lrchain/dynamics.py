@@ -29,7 +29,7 @@ from .model import (
     offdiagonal_block,
     perturbation_operator,
 )
-from .operators import DenseOperator, commutator, commutator_norms, embed_local, gram_norms, hermitian_spectral, operator_norm
+from .operators import HERMITICITY_TOL, DenseOperator, commutator, commutator_norms, embed_local, gram_norms, hermitian_spectral, operator_norm
 
 RECONSTRUCTION_TOL = 1e-10
 # Largest phase advance w*h of a central-difference step; the relative
@@ -136,11 +136,9 @@ def _split_norms(
 ):
     """gap * || Y || with Y = (V_s p) A' (V_l p)^dag and p = exp(itw), for a stack of blocks.
 
-    V_s and V_l are the rows of the eigenvector matrix on the two sides of
-    B's split, V_s the side with fewer rows; || Y || is the square root of
-    the top eigenvalue of Y Y^dag, as `commutator_norm_table` describes.
-    The Gram matrix plus its adjoint, 2 Y Y^dag to rounding, is Hermitian
-    entry for entry, so `operator_norm` takes `eigvalsh`.
+    V_k = S_k^dag V for B's sides S_k, as `commutator_norm_table` describes.
+    The Gram matrix Y Y^dag plus its adjoint, 2 Y Y^dag to rounding, is
+    Hermitian entry for entry, so `operator_norm` takes `eigvalsh`.
     """
     phases = np.exp(1j * t * eigenvalues)[..., None, :]
     y = (v_short * phases) @ a_rot @ (v_long * phases).conj().swapaxes(-1, -2)
@@ -149,24 +147,55 @@ def _split_norms(
     return gap * np.sqrt(0.5 * operator_norm(gram))
 
 
-def two_values(m: np.ndarray):
-    """The two values m_1 < m_2 of a matrix that is exactly diagonal, exactly real and exactly two-valued; None otherwise.
+def two_sides(m: np.ndarray):
+    """(values, W_1, W_2) for an exactly Hermitian m with two eigenvalues b_1 < b_2, W_k its eigenvectors for b_k; None otherwise.
 
-    The one selection test of the split routes, in `commutator_norm_table`
-    and in `projection_commutator_norm`: all comparisons are exact, so the
-    route depends on the input alone.
+    The one test of whether the identity below applies.  m is decomposed
+    per connected component of its nonzero pattern, so each column of W_k
+    lies on one component and a diagonal m gets its diagonal and identity
+    columns bit for bit.  m counts as two-valued when each eigenvalue lies
+    within delta <= HERMITICITY_TOL (b_2 - b_1) of b_1 = min or b_2 = max,
+    which moves the norms below by at most 2 delta || Y ||.
+
+    With S_k = I (x) W_k (x) I, m is diag(b_1, b_2) in the basis of the
+    columns of S_1 and S_2, where Y has blocks Y_jk = S_j^dag Y S_k, so
+    [Y, m] has only the blocks (b_2 - b_1) Y_12 and -(b_2 - b_1) Y_21.  Their
+    norms are equal for Hermitian Y (Y_21 = Y_12^dag) and for unitary Y by
+    the CS decomposition (Paige & Wei, Linear Algebra Appl. 208/209, 303
+    (1994)): Y_21^dag Y_21 = 1 - Y_11^dag Y_11 and Y_12 Y_12^dag =
+    1 - Y_11 Y_11^dag have the same eigenvalues.  Hence || [Y, m] || =
+    (b_2 - b_1) || S_s^dag Y S_l ||, S_s the side with fewer columns.
     """
-    diagonal = np.diagonal(m)
-    values = np.unique(diagonal.real)
-    if len(values) != 2 or np.any(diagonal.imag) or not np.array_equal(m, np.diag(diagonal)):
+    if not np.array_equal(m, m.conj().T):
         return None
-    return values
+    evals, evecs = np.zeros(len(m)), np.zeros(m.shape, dtype=complex)
+    for idx in connected_components(m != 0):
+        evals[idx], evecs[np.ix_(idx, idx)] = np.linalg.eigh(m[np.ix_(idx, idx)].astype(complex))
+    gap, low = np.ptp(evals), evals - evals.min()
+    if not gap or np.any(np.minimum(low, gap - low) > HERMITICITY_TOL * gap):
+        return None
+    return np.array([evals.min(), evals.max()]), evecs[:, low <= gap / 2], evecs[:, low > gap / 2]
 
 
-def _value_sides(diagonal: np.ndarray, values: np.ndarray) -> list:
-    """Positions where `diagonal` takes each of the two `values`, the side with fewer positions first."""
-    upper = diagonal.real == values[1]
-    return sorted((np.flatnonzero(~upper), np.flatnonzero(upper)), key=len)
+def _group_sides(local_sides, support, geom: ChainGeometry, groups: list) -> list:
+    """The sides S_k = I (x) W_k (x) I of `two_sides` on `support` in each sorted group of states holding whole columns, fewer columns first.
+
+    A side is (rows, coefs): its column j is the sum over r of coefs[r, j]
+    times the state at position rows[r, j] of the group, one r per nonzero
+    entry of column j of W_k, padded by zero coefficients on the first.  The
+    rows come by index arithmetic on the digit of `support`, in basis order.
+    """
+    states = np.arange(geom.total_dim).reshape(geom.local_dim ** (support.lo - geom.full_support.lo), len(local_sides[0]), -1)
+    out = [[] for _ in groups]
+    for w in local_sides:
+        local_rows = np.argsort(w == 0, axis=0, kind="stable")[: np.count_nonzero(w, axis=0).max()]
+        coefs = np.take_along_axis(w, local_rows, axis=0)
+        rows = np.moveaxis(states[:, np.where(coefs != 0, local_rows, local_rows[0])], 1, 0)
+        coefs = np.broadcast_to(coefs[:, None, :, None], rows.shape)
+        for sides, idx in zip(out, groups):
+            cols = np.isin(rows[0], idx)
+            sides.append((np.searchsorted(idx, rows[:, cols]), coefs[:, cols]))
+    return [sorted(sides, key=lambda side: side[0].shape[1]) for sides in out]
 
 
 class EvolutionContext:
@@ -230,54 +259,38 @@ def projection_commutator_norm(ctx: EvolutionContext, a: DenseOperator, t: float
     """max || [tau_t(A), U] || over the entries `unitaries` of `epsilon_unitaries`; 0 when there are none.
 
     The one route choice of the projection check: a local A that
-    `two_values` accepts takes `split_commutator_norms`, on Gram matrices of
+    `two_sides` accepts takes `split_commutator_norms`, on Gram matrices of
     half the size or less, and any other A takes
     `lrchain.operators.commutator_norms` on ctx.evolve(a, t).
     """
-    values = two_values(a.matrix)
-    if values is None:
+    sides = two_sides(a.matrix)
+    if sides is None:
         norms = commutator_norms(ctx.evolve(a, t).matrix, unitaries)
     else:
-        norms = split_commutator_norms(ctx, a, t, unitaries, values)
+        norms = split_commutator_norms(ctx, a, t, unitaries, sides)
     return float(np.max(norms, initial=0.0))
 
 
-def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, unitaries: list, values) -> np.ndarray:
-    """|| [tau_t(A), U] || for each entry of `epsilon_unitaries`, for a local A whose `two_values` are `values`.
+def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, unitaries: list, sides) -> np.ndarray:
+    """|| [tau_t(A), U] || for each entry of `epsilon_unitaries`, for a local A whose `two_sides` are `sides`.
 
-    Let a_1 < a_2 be the values of A, E_k the basis states on which the
-    embedded A equals a_k, and Q_k = exp(itH) E_k, so that
-    tau_t(A) = a_1 Q_1 Q_1^dag + a_2 Q_2 Q_2^dag.  In the orthonormal basis
-    formed by the columns of Q_1 and Q_2, tau_t(A) is diag(a_1, a_2) and U
-    is the unitary U' with blocks U'_jk = Q_j^dag U Q_k, so the commutator
-    has only the two off-diagonal blocks -(a_2 - a_1) U'_12 and
-    (a_2 - a_1) U'_21, and its norm is (a_2 - a_1) times the larger of
-    || U'_12 || and || U'_21 ||.  By the CS decomposition of U' the two are
-    equal: U'^dag U' = U' U'^dag = 1 gives U'_21^dag U'_21 = 1 - U'_11^dag U'_11
-    and U'_12 U'_12^dag = 1 - U'_11 U'_11^dag, which have the same
-    eigenvalues.  Hence || [tau_t(A), U] || = (a_2 - a_1) || Q_s^dag U Q_l ||,
-    Q_s the side with fewer columns: the square root of the top eigenvalue
-    of a Gram matrix of size min(k_1, k_2), where
-    `lrchain.operators.commutator_norms` takes one of size n.
-
-    The columns of exp(itH) are gathered from the context's per-block
-    spectra, V_I p_I V_I^dag with p = exp(itw).  U Q_l is a gather of the
-    rows of Q_l times U's phases, and `lrchain.operators.gram_norms` walks
-    the unitaries, with one stacked product Q_s^dag (U Q_l) per chunk.
+    By `two_sides` for the unitary Y = exp(-itH) U exp(itH), the norm is
+    (a_2 - a_1) || Q_s^dag U Q_l || with Q_k = exp(itH) S_k: per unitary, a
+    Gram matrix of size min(k_1, k_2) instead of n, from `gram_norms`.
     """
-    geom = ctx.geom
-    n = geom.total_dim
+    n = ctx.geom.total_dim
     propagator = np.zeros((n, n), dtype=complex)
     for idx, (w, v) in zip(ctx.spectral_blocks, ctx.spectra):
         propagator[np.ix_(idx, idx)] = (v * np.exp(1j * t * w)) @ v.conj().T
-    short, long = _value_sides(np.diagonal(embed_local(a, geom.full_support, geom).matrix), values)
-    q_short_dag, q_long = propagator[:, short].conj().T, propagator[:, long]
+    short, long = _group_sides(sides[1:], a.support, ctx.geom, [np.arange(n)])[0]
+    q_short, q_long = ((propagator[:, rows] * coefs).sum(axis=1) for rows, coefs in (short, long))
+    q_short_dag = q_short.conj().T
     del propagator
 
     def build(perms, phases):
         return q_short_dag @ (q_long[perms] * phases[..., None])
 
-    return (values[1] - values[0]) * gram_norms(unitaries, n * len(long), build)
+    return (sides[0][1] - sides[0][0]) * gram_norms(unitaries, n * q_long.shape[1], build)
 
 
 # bytes of one stack of the largest group over a chunk of Hamiltonians in
@@ -311,31 +324,24 @@ def commutator_norm_table(
     block of A is V X V^dag for X = p A' p^dag.  Each time point then costs
     one norm per group, taken by one of two routes:
 
-    * Split route, when both local matrices are exactly Hermitian and the
-      local B is exactly diagonal with exactly two distinct values
-      b_1 < b_2.  Then B = b_1 P_1 + b_2 P_2 for the projections P_1, P_2
-      onto the basis states where it takes each value, and for Hermitian
-      Y = V X V^dag, [Y, B] = (b_2 - b_1) (P_1 Y P_2 - P_2 Y P_1), a
-      block anti-diagonal matrix with norm (b_2 - b_1) || P_1 Y P_2 ||.
-      The rows of V are split by B's value into V_s and V_l, V_s the side
-      with fewer rows, and the norm is (b_2 - b_1) times the square root of
-      the top eigenvalue of G = Z Z^dag for Z = (V_s p) A' (V_l p)^dag:
-      one `eigvalsh` of size min(k_1, k_2) instead of k, through
-      `operator_norm`.  B is never rotated, and a group on which B is
-      constant contributes 0.
-    * Block route, for every other pair (non-diagonal B such as sx or sy,
-      a diagonal B with three or more values, non-Hermitian A or B).  B is
-      rotated too, B' = V^dag B V, and the norm is the one of [X, B'],
-      formed from the product M = X B'.  When both local matrices are
-      exactly Hermitian, [X, B'] = M - M^dag in exact arithmetic, and
-      i (M - M^dag) is Hermitian entry for entry, so `operator_norm` takes
-      `eigvalsh`; otherwise the commutator is M - B' X.
+    * Split route, when both local matrices are exactly Hermitian and
+      `two_sides` accepts the local B: by the identity there, with B's sides
+      S_k on the group and V_k = S_k^dag V, the norm is (b_2 - b_1) || Z ||
+      for Z = (V_s p) A' (V_l p)^dag, one `eigvalsh` of size min(k_1, k_2)
+      instead of k.  B is never rotated, and a group that holds only one of
+      B's sides contributes 0.
+    * Block route, for every other pair (B with three or more eigenvalues,
+      non-Hermitian A or B).  B is rotated too, B' = V^dag B V, and the norm
+      is the one of [X, B'], formed from the product M = X B'.  When both
+      local matrices are exactly Hermitian, [X, B'] = M - M^dag in exact
+      arithmetic, and i (M - M^dag) is Hermitian entry for entry, so
+      `operator_norm` takes `eigvalsh`; otherwise the commutator is M - B' X.
 
-    Both selection tests are exact comparisons on the input.  The t = 0
-    column does not depend on H: it is formed once in the computational
-    basis, where disjoint supports commute exactly.
+    Both selection tests read the input alone.  The t = 0 column does not
+    depend on H: it is formed once in the computational basis, where
+    disjoint supports commute exactly.
 
-    The groups are found, and A and B gathered, once.  The Hamiltonians
+    The groups are found, A gathered and B gathered or split, once.  The Hamiltonians
     then run in chunks: a chunk takes one `_block_spectra` call, then per
     group one stacked rotation and one stacked norm per time point, and
     each member gets the bits it would get in a chunk of its own.  No dense
@@ -349,17 +355,12 @@ def commutator_norm_table(
     hermitian = all(np.array_equal(m, m.conj().T) for m in (a.matrix, b.matrix))
     a_full, b_full = embed_local(a, geom.full_support, geom), embed_local(b, geom.full_support, geom)
     groups = connected_components((h != 0) | (a_full.matrix != 0) | (b_full.matrix != 0))
-    b_values = two_values(b.matrix) if hermitian else None
-    gathered = []
-    for idx in groups:
-        block = np.ix_(idx, idx)
-        if b_values is None:
-            b_part = b_full.matrix[block]
-        else:
-            b_part = _value_sides(np.diagonal(b_full.matrix)[idx], b_values)
-            if not len(b_part[0]):
-                b_part = None
-        gathered.append((a_full.matrix[block], b_part))
+    b_sides = two_sides(b.matrix) if hermitian else None
+    if b_sides is not None:
+        b_parts = [sides if sides[0][0].shape[1] else None for sides in _group_sides(b_sides[1:], b.support, geom, groups)]
+    else:
+        b_parts = [b_full.matrix[np.ix_(idx, idx)] for idx in groups]
+    gathered = [(a_full.matrix[np.ix_(idx, idx)], b_part) for idx, b_part in zip(groups, b_parts)]
     largest = max(len(idx) for idx in groups)
     chunk = max(1, _STACK_CHUNK_BYTES // (16 * largest * largest))  # 16 bytes per complex128 entry
 
@@ -375,11 +376,11 @@ def commutator_norm_table(
         for a_block, b_part in gathered:
             evals, evecs = spectra.pop(0)  # popped, so each group's eigenvectors are freed after its rotation
             if b_part is None:
-                continue  # B is constant on this group, so it commutes with X
-            if b_values is not None:
+                continue  # B has one side on this group, so it commutes with X
+            if b_sides is not None:
                 (a_rot,) = _rotate(evecs, a_block)
-                v_short, v_long = (evecs[:, rows] for rows in b_part)
-                block_norms = partial(_split_norms, evals, a_rot, v_short, v_long, b_values[1] - b_values[0])
+                v_short, v_long = ((coefs.conj()[..., None] * evecs[:, rows]).sum(axis=1) for rows, coefs in b_part)
+                block_norms = partial(_split_norms, evals, a_rot, v_short, v_long, b_sides[0][1] - b_sides[0][0])
             else:
                 block_norms = partial(_block_norms, evals, *_rotate(evecs, a_block, b_part), hermitian)
             del evecs

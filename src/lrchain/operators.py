@@ -232,17 +232,6 @@ def _weyl_monomials(dim: int):
             yield p, q, perm, np.exp(2j * np.pi * ((q * perm) % dim) / dim)
 
 
-def weyl_basis(dim: int) -> list[np.ndarray]:
-    """The dim^2 unitary shift-and-clock matrices X^p Z^q spanning M_dim, p outer and q inner."""
-    rows = np.arange(dim)
-    out = []
-    for _, _, perm, phases in _weyl_monomials(dim):
-        w = np.zeros((dim, dim), dtype=complex)
-        w[rows, perm] = phases
-        out.append(w)
-    return out
-
-
 def epsilon_unitaries(keep: SiteSupport, geom: ChainGeometry) -> list:
     """The unitaries U = W_l (x) I_keep (x) W_r that `local_commutator_epsilon` evaluates.
 
@@ -281,13 +270,12 @@ _GRAM_CHUNK_BYTES = 1 << 21
 def gram_norms(unitaries: list, member_size: int, build) -> np.ndarray:
     """|| y || = sqrt(lambda_max(y y^dag)) for the matrix y that `build` makes from each entry of `epsilon_unitaries`.
 
-    The one loop over the unitaries, shared by this module's
-    `commutator_norms` and by `lrchain.dynamics.split_commutator_norms`.
-    `build(perms, phases)` takes the permutations and phases of a chunk of
-    entries, stacked along a leading axis, and returns the stack of their
-    matrices y.  Its largest array holds `member_size` complex entries per
-    entry, and chunks are sized so that it fits in `_GRAM_CHUNK_BYTES`.
-    Each chunk takes one stacked product y y^dag and one stacked `eigvalsh`.
+    The one loop over the unitaries, for this module's `commutator_norms`
+    (y = [m, U]) and `lrchain.dynamics.split_commutator_norms` (y =
+    Q_s^dag U Q_l, for any A that `lrchain.dynamics.two_sides` accepts).
+    `build(perms, phases)` maps a chunk of entries' stacked permutations and
+    phases to the stack of their y, `member_size` complex entries each;
+    chunks fit in `_GRAM_CHUNK_BYTES`, each with one y y^dag and one `eigvalsh`.
     """
     chunk = max(1, _GRAM_CHUNK_BYTES // (16 * member_size))  # 16 bytes per complex128 entry
     norms = np.empty(len(unitaries))
@@ -339,25 +327,3 @@ def local_commutator_epsilon(a: DenseOperator, keep: SiteSupport, geom: ChainGeo
         return 0.0
     # ||B|| = 1: a tensor product of unitaries is unitary
     return float(np.max(commutator_norms(a.matrix, epsilon_unitaries(keep, geom)), initial=0.0)) / norm_a
-
-
-LOCALIZATION_TOL = 1e-10
-
-
-def assert_localized(a: DenseOperator, within: SiteSupport, geom: ChainGeometry) -> None:
-    """Optional validator: `a` must act as the identity outside `within`.
-
-    Declared supports are taken on trust everywhere else; this check embeds
-    the operator on the full chain and requires its worst normalized
-    commutator with the complement algebra of `within` to vanish.  Zero
-    operators pass trivially.
-    """
-    if not a.support.contains(within) and not within.contains(a.support):
-        raise SupportError(f"{within} and the declared support {a.support} are not nested")
-    full = embed_local(a, geom.full_support, geom)
-    eps = local_commutator_epsilon(full, within, geom)
-    if eps > LOCALIZATION_TOL:
-        raise SupportError(
-            f"operator declared on {a.support} does not act as the identity outside {within}: "
-            f"worst normalized commutator with the complement algebra is {eps:.3e} > {LOCALIZATION_TOL:.1e}"
-        )

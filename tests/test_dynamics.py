@@ -12,7 +12,7 @@ from lrchain.dynamics import (
     connected_components,
     projection_commutator_norm,
     split_commutator_norms,
-    two_values,
+    two_sides,
 )
 from lrchain.geometry import ChainGeometry, SiteSupport, SupportError
 from lrchain.model import ImpuritySpec, NNInteraction, build_perturbed_hamiltonian
@@ -367,9 +367,9 @@ class TestCommutatorNormTable:
         assert split_calls
 
     def test_route_selection(self, rng, monkeypatch):
-        # only a Hermitian pair whose B is diagonal with exactly two distinct
-        # values takes the split route; everything else, including a
-        # three-valued diagonal B on a qutrit chain, takes _block_norms
+        # a Hermitian pair whose B has exactly two eigenvalues takes the
+        # split route, diagonal or not; a non-Hermitian pair and a
+        # three-valued diagonal B on a qutrit chain take _block_norms
         routes = []
         for name in ("_block_norms", "_split_norms"):
             spy = lambda *args, name=name, route=getattr(dynamics, name): routes.append(name) or route(*args)
@@ -386,9 +386,9 @@ class TestCommutatorNormTable:
         assert route_of(geom, h, sz, DenseOperator.single_site(2, PAULI["sz"])) == "_split_norms"
         assert route_of(geom, h, DenseOperator.single_site(-2, PAULI["sx"]),
                         DenseOperator.single_site(2, PAULI["sz"])) == "_split_norms"
+        for name in ("sx", "sy"):
+            assert route_of(geom, h, sz, DenseOperator.single_site(2, PAULI[name])) == "_split_norms", name
         block_route = (
-            (sz, DenseOperator.single_site(2, PAULI["sx"])),
-            (sz, DenseOperator.single_site(2, PAULI["sy"])),
             (DenseOperator.single_site(-2, np.diag([1.0, 2.0 + 1.0j])), DenseOperator.single_site(2, PAULI["sz"])),
             (sz, DenseOperator.single_site(2, np.diag([1.0, 2.0 + 1.0j]))),
         )
@@ -480,14 +480,57 @@ def identities_l3_context(seed):
     return EvolutionContext(build_perturbed_hamiltonian(phi, imp, geom), geom)
 
 
+def n_sigma(rng):
+    """n . sigma for a seeded random unit vector n: Hermitian, with the eigenvalues +-1 to rounding."""
+    n = rng.standard_normal(3)
+    return sum(c * PAULI[name] for c, name in zip(n / np.linalg.norm(n), ("sx", "sy", "sz")))
+
+
+def qutrit_level_two_context(rng):
+    """A five-site qutrit chain whose random bonds move only levels 0 and 1, plus random diagonals.
+
+    The sites at level 2 are conserved, so the nonzero pattern splits into
+    one block per set of such sites.
+    """
+    geom = ChainGeometry(2, 3)
+    moving = np.kron([1, 1, 0], [1, 1, 0]) != 0  # both sites below level 2
+    bonds = {}
+    for x in range(-2, 2):
+        bond = random_hermitian(rng, 9, norm=1.0) * np.outer(moving, moving)
+        bonds[x] = bond + np.diag(rng.standard_normal(9))
+    phi = NNInteraction(geom, bonds=bonds)
+    return EvolutionContext(build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom), geom)
+
+
+# swaps levels 0 and 1: the eigenvalue 1 spans both components of its pattern
+QUTRIT_SWAP = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+
+
 class TestSplitCommutatorNorms:
-    def test_two_values(self):
-        assert two_values(PAULI["sz"]).tolist() == [-1.0, 1.0]
-        assert two_values(np.diag([1.0, 1.0, -1.0])).tolist() == [-1.0, 1.0]
-        assert two_values(np.diag([0.5, 2.0, 0.5, 2.0])).tolist() == [0.5, 2.0]
-        for m in (PAULI["sx"], PAULI["sy"], np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 2.0 + 1.0j]), np.eye(2),
-                  PAULI["sz"] + 1e-300 * PAULI["sx"]):
-            assert two_values(m) is None, m
+    def test_two_sides(self, rng):
+        # a diagonal two-valued matrix gets its values and identity columns
+        # exactly, in ascending order
+        for m in (PAULI["sz"], np.diag([1.0, 1.0, -1.0]), np.diag([0.5, 2.0, 0.5, 2.0])):
+            values, w_1, w_2 = two_sides(m)
+            diagonal = np.diagonal(m).real
+            assert values.tolist() == sorted(set(diagonal.tolist()))
+            eye = np.eye(len(m))
+            assert w_1.tolist() == eye[:, diagonal == values[0]].tolist()
+            assert w_2.tolist() == eye[:, diagonal == values[1]].tolist()
+        # any other Hermitian matrix with two eigenvalues, sz + 1e-300 sx
+        # (two-valued to rounding) included: orthonormal sides that
+        # rebuild it, each column on one component of its pattern
+        for m in (PAULI["sx"], PAULI["sy"], n_sigma(rng), QUTRIT_SWAP, PAULI["sz"] + 1e-300 * PAULI["sx"]):
+            values, w_1, w_2 = two_sides(m)
+            w = np.hstack([w_1, w_2])
+            assert np.allclose(w.conj().T @ w, np.eye(len(m)), rtol=0, atol=1e-15), m
+            rebuilt = values[0] * w_1 @ w_1.conj().T + values[1] * w_2 @ w_2.conj().T
+            assert np.allclose(rebuilt, m, rtol=0, atol=1e-15), m
+        values, w_1, w_2 = two_sides(QUTRIT_SWAP)
+        assert values.tolist() == [-1.0, 1.0] and w_2.shape == (3, 2)
+        assert sorted(np.flatnonzero(column).tolist() for column in w_2.T) == [[0, 1], [2]]
+        for m in (np.diag([1.0, 0.0, -1.0]), np.diag([1.0, 2.0 + 1.0j]), np.eye(2)):
+            assert two_sides(m) is None, m
 
     @pytest.mark.parametrize(
         "case",
@@ -526,7 +569,7 @@ class TestSplitCommutatorNorms:
             a, keep = DenseOperator.single_site(-3, PAULI["sz"]), SiteSupport(-2, -1)
         unitaries = epsilon_unitaries(keep, ctx.geom)
         evolved = ctx.evolve(a, t).matrix
-        split = split_commutator_norms(ctx, a, t, unitaries, two_values(a.matrix))
+        split = split_commutator_norms(ctx, a, t, unitaries, two_sides(a.matrix))
         gram = commutator_norms(evolved, unitaries)
         top = float(gram.max())
         assert top > 1e-3
@@ -540,26 +583,71 @@ class TestSplitCommutatorNorms:
         ctx = identities_l3_context(5)
         a = DenseOperator.single_site(-3, PAULI["sz"])
         unitaries = epsilon_unitaries(SiteSupport(-3, -1), ctx.geom)
-        values = two_values(a.matrix)
-        want = split_commutator_norms(ctx, a, 0.5, unitaries, values)
+        sides = two_sides(a.matrix)
+        want = split_commutator_norms(ctx, a, 0.5, unitaries, sides)
         monkeypatch.setattr(operators, "_GRAM_CHUNK_BYTES", 3 * 16 * 128 * 64)
         stacks = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(m.shape) or eigvalsh(m))
-        got = split_commutator_norms(ctx, a, 0.5, unitaries, values)
+        got = split_commutator_norms(ctx, a, 0.5, unitaries, sides)
         assert {shape[0] for shape in stacks[:-1]} == {3} and stacks[-1][0] <= 3
         assert all(shape[1:] == (64, 64) for shape in stacks)
         assert np.allclose(got, want, rtol=0, atol=1e-13)
 
-    def test_a_without_two_values_takes_the_gram_kernel(self):
-        # sx is not diagonal: the projection bound is the Gram kernel's
-        # maximum on the evolved matrix, bit for bit, and nothing raises
-        ctx = identities_l3_context(5)
-        a = DenseOperator.single_site(-3, PAULI["sx"])
-        unitaries = epsilon_unitaries(SiteSupport(-3, -1), ctx.geom)
+    def test_a_without_two_sides_takes_the_gram_kernel(self, rng):
+        # diag(1, 0, -1) has three eigenvalues: the projection bound is the
+        # Gram kernel's maximum on the evolved matrix, bit for bit, and
+        # nothing raises
+        geom, phi = random_chain(rng, local_dim=3)
+        ctx = EvolutionContext(build_perturbed_hamiltonian(phi, ImpuritySpec.empty(), geom), geom)
+        a = DenseOperator.single_site(0, np.diag([1.0, 0.0, -1.0]))
+        unitaries = epsilon_unitaries(SiteSupport(-1, 1), ctx.geom)
         got = projection_commutator_norm(ctx, a, 0.5, unitaries)
         assert got == np.max(commutator_norms(ctx.evolve(a, 0.5).matrix, unitaries))
         assert got > 1e-3
+
+    @pytest.mark.parametrize("case", ["sx", "sy", "n.sigma", "qutrit swap"])
+    def test_non_diagonal_operators_take_the_two_sided_route(self, rng, monkeypatch, case):
+        # two-valued operators that are not diagonal take the two-sided
+        # route in the projection check, where it agrees with the Gram
+        # kernel per unitary within 1e-12 of the maximum, and in the table,
+        # where it agrees with dense evolution to the dense-ED floor.  The
+        # qutrit chain conserves the sites at level 2, so B's sides split
+        # over the table's groups and some groups hold only one side.
+        times = TestCommutatorNormTable.TIMES
+        if case == "qutrit swap":
+            ctx = qutrit_level_two_context(rng)
+            a, keep = DenseOperator.single_site(0, QUTRIT_SWAP), SiteSupport(-1, 1)
+            table_a, b = DenseOperator.single_site(-2, np.diag([1.0, 0.0, -1.0])), DenseOperator.single_site(2, QUTRIT_SWAP)
+            assert len(ctx.spectral_blocks) > 1
+        else:
+            ctx = identities_l3_context(5)
+            m = n_sigma(rng) if case == "n.sigma" else PAULI[case]
+            a, keep = DenseOperator.single_site(-3, m), SiteSupport(-3, -1)
+            table_a, b = DenseOperator.single_site(-1, PAULI["sz"]), DenseOperator.single_site(3, m)
+        geom, h = ctx.geom, ctx.hamiltonian
+        routes = []
+        for name in ("split_commutator_norms", "_split_norms", "commutator_norms", "_block_norms"):
+            spy = lambda *args, name=name, route=getattr(dynamics, name): routes.append(name) or route(*args)
+            monkeypatch.setattr(dynamics, name, spy)
+
+        unitaries = epsilon_unitaries(keep, geom)
+        got = projection_commutator_norm(ctx, a, 0.5, unitaries)
+        assert routes == ["split_commutator_norms"]
+        split = split_commutator_norms(ctx, a, 0.5, unitaries, two_sides(a.matrix))
+        gram = commutator_norms(ctx.evolve(a, 0.5).matrix, unitaries)
+        top = float(gram.max())
+        assert top > 1e-3 and got == split.max()
+        assert np.max(np.abs(split - gram)) <= 1e-12 * top
+
+        routes.clear()
+        norms, _ = commutator_norm_table(h, [np.zeros(geom.total_dim)], table_a, b, geom, times)
+        assert set(routes) == {"_split_norms"}
+        b_full = embed_local(b, geom.full_support, geom)
+        want = np.array([operator_norm(commutator(ctx.evolve(table_a, t), b_full)) for t in times])
+        floor = ed_floor(operator_norm(h), geom.total_dim, times, operator_norm(table_a) * operator_norm(b))
+        assert np.all(np.abs(norms[0] - want) <= floor), (norms[0], want)
+        assert norms[0, -1] > 1e-3
 
 
 def decoupling_instance(rng, coupling, half_length=3, bond_norm=1.0):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lrchain
+from lrchain import dynamics
 from lrchain.bounds import BoundOutcome, LRParameters, apriori_bound
 from lrchain.cli import _cmd_constants, build_parser
 from lrchain.cli import main as cli_main
@@ -18,7 +19,7 @@ from lrchain.dynamics import (
     EvolutionContext,
     projection_commutator_norm,
     split_commutator_norms,
-    two_values,
+    two_sides,
 )
 from lrchain.geometry import ChainGeometry, SiteSupport
 from lrchain.harness import (
@@ -81,6 +82,15 @@ def make_config(
     obs_a = ObservableSpec(-half_length, np.array(PAULI["sz"]), "sz")
     obs_b = ObservableSpec(half_length, np.array(PAULI["sz"]), "sz")
     return ExperimentConfig(geom, phi, imp, 1.0, obs_a, obs_b, t_grid, bound_set=bound_set, out=out)
+
+
+def spy_projection_kernels(monkeypatch) -> list:
+    """The list that records, in call order, each projection-check kernel `lrchain.dynamics` calls."""
+    routes = []
+    for name in ("split_commutator_norms", "commutator_norms"):
+        spy = lambda *args, name=name, route=getattr(dynamics, name): routes.append(name) or route(*args)
+        monkeypatch.setattr(dynamics, name, spy)
+    return routes
 
 
 class TestObservableSpec:
@@ -621,21 +631,38 @@ class TestRunIdentities:
         assert 0.0 < lhs <= rhs
         assert check.detail.endswith("513 unitaries")
 
-    def test_projection_detail_with_a_gram_route_observable(self):
-        # the identities-L3 inputs at seed 5 with sx, which is not diagonal,
-        # as A: the bound comes from the Gram kernel, end to end
+    def test_projection_detail_with_a_gram_route_observable(self, monkeypatch):
+        # the identities-L3 inputs at seed 5 with sx, which is not diagonal
+        # but has two eigenvalues, as A: the bound comes from the two-sided
+        # route, end to end
+        routes = spy_projection_kernels(monkeypatch)
         cfg = make_config(np.random.default_rng(5))
         cfg = dataclasses.replace(cfg, observable_a=ObservableSpec(-3, np.array(PAULI["sx"]), "sx"))
         check = run_identities(cfg).checks[-1]
         assert check.name == "local_projection_inequality" and check.status == "pass", check.detail
         assert check.detail.endswith("513 unitaries")
+        assert routes == ["split_commutator_norms"]
+
+    def test_projection_detail_with_an_observable_off_the_two_sided_route(self, monkeypatch):
+        # on a qubit chain every non-scalar Hermitian A has two eigenvalues;
+        # the non-Hermitian raising operator does not pass `two_sides`, so
+        # the bound comes from the Gram kernel, end to end
+        routes = spy_projection_kernels(monkeypatch)
+        cfg = make_config(np.random.default_rng(5))
+        raising = np.array([[0.0, 1.0], [0.0, 0.0]])
+        cfg = dataclasses.replace(cfg, observable_a=ObservableSpec(-3, raising, "matrix"))
+        check = run_identities(cfg).checks[-1]
+        assert check.name == "local_projection_inequality" and check.status == "pass", check.detail
+        assert check.detail.endswith("513 unitaries")
+        assert routes == ["commutator_norms"]
 
     def test_projection_bound_routes(self, rng):
-        # a two-valued diagonal A takes the split kernel, bit for bit; every
-        # other A takes the Gram kernel on the evolved matrix, bit for bit
+        # an A with two eigenvalues, diagonal or not, takes the split
+        # kernel, bit for bit; every other A takes the Gram kernel on the
+        # evolved matrix, bit for bit
         cases = (
             (2, DenseOperator.single_site(-2, PAULI["sz"]), True),
-            (2, DenseOperator.single_site(-2, PAULI["sx"]), False),
+            (2, DenseOperator.single_site(-2, PAULI["sx"]), True),
             (3, DenseOperator.single_site(-1, np.diag([1.0, 1.0, -1.0])), True),
             (3, DenseOperator.single_site(-1, np.diag([1.0, 0.0, -1.0])), False),
         )
@@ -647,7 +674,7 @@ class TestRunIdentities:
             unitaries = epsilon_unitaries(a.support, geom)
             got = projection_commutator_norm(ctx, a, 0.5, unitaries)
             if split:
-                assert got == np.max(split_commutator_norms(ctx, a, 0.5, unitaries, two_values(a.matrix))), a.matrix
+                assert got == np.max(split_commutator_norms(ctx, a, 0.5, unitaries, two_sides(a.matrix))), a.matrix
             else:
                 assert got == np.max(commutator_norms(ctx.evolve(a, 0.5).matrix, unitaries)), a.matrix
             assert got > 1e-3

@@ -8,7 +8,6 @@ from lrchain.operators import (
     DenseOperator,
     HermiticityError,
     _weyl_monomials,
-    assert_localized,
     commutator,
     commutator_norms,
     conditional_expectation,
@@ -18,15 +17,16 @@ from lrchain.operators import (
     kron_product,
     local_commutator_epsilon,
     operator_norm,
-    weyl_basis,
 )
 from util import (
+    assert_localized,
     conditional_expectation_oracle,
     embed_oracle,
     kron_oracle,
     norm_oracle,
     random_complex,
     random_hermitian,
+    weyl_basis,
     weyl_commutator_norms_oracle,
     weyl_oracle,
 )

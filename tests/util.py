@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from lrchain.disorder import _field_strengths, heisenberg_bond
-from lrchain.geometry import ChainGeometry
+from lrchain.geometry import ChainGeometry, SiteSupport, SupportError
 from lrchain.model import ImpuritySpec, NNInteraction
-from lrchain.operators import PAULI
+from lrchain.operators import PAULI, DenseOperator, _weyl_monomials, embed_local, local_commutator_epsilon
 
 
 def random_hermitian(rng, dim: int, norm: float | None = None) -> np.ndarray:
@@ -117,6 +117,39 @@ def weyl_oracle(dim: int) -> list:
             out.append(xp @ np.linalg.matrix_power(clock, q))
         xp = shift @ xp
     return out
+
+
+def weyl_basis(dim: int) -> list[np.ndarray]:
+    """The dim^2 unitary shift-and-clock matrices X^p Z^q spanning M_dim, p outer and q inner."""
+    rows = np.arange(dim)
+    out = []
+    for _, _, perm, phases in _weyl_monomials(dim):
+        w = np.zeros((dim, dim), dtype=complex)
+        w[rows, perm] = phases
+        out.append(w)
+    return out
+
+
+LOCALIZATION_TOL = 1e-10
+
+
+def assert_localized(a: DenseOperator, within: SiteSupport, geom: ChainGeometry) -> None:
+    """Optional validator: `a` must act as the identity outside `within`.
+
+    The library takes declared supports on trust; this check embeds
+    the operator on the full chain and requires its worst normalized
+    commutator with the complement algebra of `within` to vanish.  Zero
+    operators pass trivially.
+    """
+    if not a.support.contains(within) and not within.contains(a.support):
+        raise SupportError(f"{within} and the declared support {a.support} are not nested")
+    full = embed_local(a, geom.full_support, geom)
+    eps = local_commutator_epsilon(full, within, geom)
+    if eps > LOCALIZATION_TOL:
+        raise SupportError(
+            f"operator declared on {a.support} does not act as the identity outside {within}: "
+            f"worst normalized commutator with the complement algebra is {eps:.3e} > {LOCALIZATION_TOL:.1e}"
+        )
 
 
 def weyl_commutator_norms_oracle(m: np.ndarray, dl: int, dk: int, dr: int) -> dict:
