@@ -25,9 +25,9 @@ import numpy as np
 
 from .bounds import LRParameters, exceeds, main_constant
 from .dynamics import commutator_norm_table
-from .geometry import ChainGeometry
+from .geometry import ChainGeometry, SiteSupport
 from .model import NNInteraction, build_nn_hamiltonian
-from .operators import PAULI, DenseOperator, embed_local
+from .operators import PAULI, DenseOperator, split_index
 from .serialize import (
     INTEGER, NUMBER, NUMBERS, fmt_float, read_field, read_json_object, record_fields, render_csv, render_json
 )
@@ -165,7 +165,7 @@ class SparseFieldChain:
     """The exchange chain of one sweep, built once; a realization adds only its field diagonal.
 
     Holds the embedded exchange Hamiltonian, the diagonal of sz embedded at
-    each field site, and the full-chain sz observables at the two chain
+    each field site, and the local sz observables at the two chain
     edges.  `field(couplings)` is the diagonal sum_x lam_x sz_x, summed in
     site order from zero: embedded sz is exactly +-1, so exchange +
     diag(field) equals, entry for entry, `build_perturbed_hamiltonian` of
@@ -179,11 +179,11 @@ class SparseFieldChain:
         self.geom = ChainGeometry(cfg.L, 2)
         phi = NNInteraction(self.geom, uniform_bond=heisenberg_bond(cfg.J))
         self.exchange = build_nn_hamiltonian(phi, self.geom)
-        self.field_diagonals = {x: self._sz(x).matrix.diagonal().real.copy() for x in cfg.field_sites()}
-        self.edge_observables = (self._sz(-cfg.L), self._sz(cfg.L))
-
-    def _sz(self, site: int) -> DenseOperator:
-        return embed_local(DenseOperator.single_site(site, PAULI["sz"]), self.geom.full_support, self.geom)
+        states, sz = np.arange(self.geom.total_dim), PAULI["sz"].diagonal().real
+        self.field_diagonals = {
+            x: sz[split_index(states, SiteSupport.single(x), self.geom.full_support, 2)[0]] for x in cfg.field_sites()
+        }
+        self.edge_observables = tuple(DenseOperator.single_site(x, PAULI["sz"]) for x in (-cfg.L, cfg.L))
 
     def field(self, couplings) -> np.ndarray:
         """This realization's field diagonal sum_x lam_x sz_x; couplings are checked as by the model."""

@@ -29,7 +29,10 @@ from .model import (
     offdiagonal_block,
     perturbation_operator,
 )
-from .operators import HERMITICITY_TOL, DenseOperator, commutator, commutator_norms, embed_local, gram_norms, hermitian_spectral, operator_norm
+from .operators import (
+    HERMITICITY_TOL, DenseOperator, commutator, commutator_norms, embed_local, gram_norms, hermitian_spectral, operator_norm,
+    site_view, split_index,
+)
 
 RECONSTRUCTION_TOL = 1e-10
 # Largest phase advance w*h of a central-difference step; the relative
@@ -198,6 +201,16 @@ def _group_sides(local_sides, support, geom: ChainGeometry, groups: list) -> lis
     return [sorted(sides, key=lambda side: side[0].shape[1]) for sides in out]
 
 
+def _gather(a: DenseOperator, geom: ChainGeometry, idx: np.ndarray) -> np.ndarray:
+    """Rows and columns `idx` of the local `a` embedded on the full chain, from the local matrix.
+
+    The embedded entry (s, s') is a[i, i'], i and i' the digits of s and s'
+    on `a`'s support, when their other digits agree, and 0 otherwise.
+    """
+    inner, outer = split_index(idx, a.support, geom.full_support, geom.local_dim)
+    return np.where(outer[:, None] == outer, a.matrix[np.ix_(inner, inner)], 0)
+
+
 class EvolutionContext:
     """One Hamiltonian, eigendecomposed once, evolving any observable exactly.
 
@@ -313,7 +326,8 @@ def commutator_norm_table(
     single all-zero diagonal and read row 0.
 
     Basis states are grouped into the connected components of
-    (H0 != 0) | (A != 0) | (B != 0) for the embedded A and B.  Every H_r
+    (H0 != 0) | (A != 0) | (B != 0) for the embedded A and B, whose
+    patterns `site_view` places from the local matrices.  Every H_r
     has the off-diagonal zero pattern of H0, so H_r, A and B are
     block-diagonal over these groups, hence so is the commutator, and its
     norm is the largest of the block norms.  For diagonal A and B the groups
@@ -338,10 +352,12 @@ def commutator_norm_table(
       `operator_norm` takes `eigvalsh`; otherwise the commutator is M - B' X.
 
     Both selection tests read the input alone.  The t = 0 column does not
-    depend on H: it is formed once in the computational basis, where
-    disjoint supports commute exactly.
+    depend on H: when 0 is in `times`, it is formed once in the
+    computational basis from A and B embedded on the chain, where disjoint
+    supports commute exactly.  No other step forms an embedded A or B.
 
-    The groups are found, A gathered and B gathered or split, once.  The Hamiltonians
+    The groups are found, A gathered and B gathered or split, once, each
+    block gathered from the local matrix by `_gather`.  The Hamiltonians
     then run in chunks: a chunk takes one `_block_spectra` call, then per
     group one stacked rotation and one stacked norm per time point, and
     each member gets the bits it would get in a chunk of its own.  No dense
@@ -353,14 +369,17 @@ def commutator_norm_table(
     h = h0.matrix
     times = tuple(float(t) for t in times)
     hermitian = all(np.array_equal(m, m.conj().T) for m in (a.matrix, b.matrix))
-    a_full, b_full = embed_local(a, geom.full_support, geom), embed_local(b, geom.full_support, geom)
-    groups = connected_components((h != 0) | (a_full.matrix != 0) | (b_full.matrix != 0))
+    pattern = h != 0
+    for m in (a, b):
+        site_view(pattern, m.support, geom.full_support, geom.local_dim)[...] |= m.matrix != 0
+    groups = connected_components(pattern)
+    del pattern
     b_sides = two_sides(b.matrix) if hermitian else None
     if b_sides is not None:
         b_parts = [sides if sides[0][0].shape[1] else None for sides in _group_sides(b_sides[1:], b.support, geom, groups)]
     else:
-        b_parts = [b_full.matrix[np.ix_(idx, idx)] for idx in groups]
-    gathered = [(a_full.matrix[np.ix_(idx, idx)], b_part) for idx, b_part in zip(groups, b_parts)]
+        b_parts = [_gather(b, geom, idx) for idx in groups]
+    gathered = [(_gather(a, geom, idx), b_part) for idx, b_part in zip(groups, b_parts)]
     largest = max(len(idx) for idx in groups)
     chunk = max(1, _STACK_CHUNK_BYTES // (16 * largest * largest))  # 16 bytes per complex128 entry
 
@@ -391,6 +410,7 @@ def commutator_norm_table(
         residual_chunks.append(residuals)
     norms, residuals = np.concatenate(norm_chunks), np.concatenate(residual_chunks)
     if 0.0 in times:
+        a_full, b_full = embed_local(a, geom.full_support, geom), embed_local(b, geom.full_support, geom)
         norms[:, [t == 0.0 for t in times]] = operator_norm(commutator(a_full, b_full))
     return norms, residuals
 

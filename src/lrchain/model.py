@@ -28,6 +28,7 @@ from .operators import (
     hermitian_spectral,
     identity_matrix,
     operator_norm,
+    site_view,
 )
 from .serialize import INTEGER, LIST, NUMBER, NUMBERS, OBJECT, check_keys, fmt_path, read_field, read_json_object, read_matrix
 
@@ -260,14 +261,13 @@ def impurity_window(support_a: SiteSupport, support_b: SiteSupport, imp: Impurit
 
 
 def _chain_sum(terms, geom: ChainGeometry) -> DenseOperator:
-    """Add the terms in the order given on the smallest interval holding them all; embed that sum on the full chain."""
-    if not terms:
-        return DenseOperator(geom.full_support, np.zeros((geom.total_dim, geom.total_dim), dtype=complex))
-    span = SiteSupport(min(term.support.lo for term in terms), max(term.support.hi for term in terms))
-    h = np.zeros((geom.dim_of(span), geom.dim_of(span)), dtype=complex)
+    """Add the terms in the order given, each placed by `site_view` straight into the one full-chain matrix."""
+    h = np.zeros((geom.total_dim, geom.total_dim), dtype=complex)
     for term in terms:
-        h += embed_local(term, span, geom).matrix
-    return embed_local(DenseOperator(span, h), geom.full_support, geom)
+        geom.check_support(term.support)
+        term.validate_dim(geom)
+        site_view(h, term.support, geom.full_support, geom.local_dim)[...] += term.matrix
+    return DenseOperator(geom.full_support, h)
 
 
 def build_nn_hamiltonian(phi: NNInteraction, geom: ChainGeometry) -> DenseOperator:
@@ -294,8 +294,10 @@ def perturbation_operator(imp: ImpuritySpec, geom: ChainGeometry, exclude: int |
 
 
 def build_perturbed_hamiltonian(phi: NNInteraction, imp: ImpuritySpec, geom: ChainGeometry) -> DenseOperator:
-    """Full Hamiltonian: bond terms plus coupled impurities."""
-    return build_nn_hamiltonian(phi, geom) + perturbation_operator(imp, geom)
+    """Full Hamiltonian: bond terms plus coupled impurities, the impurity sum added in place."""
+    h = build_nn_hamiltonian(phi, geom)
+    h.matrix[...] += perturbation_operator(imp, geom).matrix
+    return h
 
 
 def _check_decoupling_site(imp: ImpuritySpec, site: int, geom: ChainGeometry) -> SiteImpurity:
@@ -310,30 +312,32 @@ def _check_decoupling_site(imp: ImpuritySpec, site: int, geom: ChainGeometry) ->
     return imp.at(site)
 
 
+def _projector(impurity: SiteImpurity, j: int, target: SiteSupport, geom: ChainGeometry) -> np.ndarray:
+    """The impurity's projector P_j, embedded on `target`."""
+    return embed_local(DenseOperator.single_site(impurity.site, impurity.projectors[j]), target, geom).matrix
+
+
 def _window_terms(phi: NNInteraction, site: int, geom: ChainGeometry):
     """The two bonds touching `site`, as matrices on the window [site-1, site+1]."""
-    d = geom.local_dim
-    left = np.kron(phi.bond(site - 1), identity_matrix(d))
-    right = np.kron(identity_matrix(d), phi.bond(site))
+    window = SiteSupport(site - 1, site + 1)
+    left, right = (embed_local(phi.bond_operator(x), window, geom).matrix for x in (site - 1, site))
     return left + right
 
 
-def _window_block(raw: np.ndarray, impurity: SiteImpurity, j: int, k: int, d: int) -> np.ndarray:
+def _window_block(raw: np.ndarray, impurity: SiteImpurity, j: int, k: int, geom: ChainGeometry) -> np.ndarray:
     """P_j raw P_k on the window [site-1, site+1], the projectors acting on its middle site."""
-    eye = identity_matrix(d)
-    pj = np.kron(np.kron(eye, impurity.projectors[j]), eye)
-    pk = np.kron(np.kron(eye, impurity.projectors[k]), eye)
-    return pj @ raw @ pk
+    window = SiteSupport(impurity.site - 1, impurity.site + 1)
+    return _projector(impurity, j, window, geom) @ raw @ _projector(impurity, k, window, geom)
 
 
 def _compressed_bond(phi: NNInteraction, impurity: SiteImpurity, x: int, geom: ChainGeometry) -> DenseOperator:
     """Bond (x, x+1), one end of which is the impurity site, compressed to sum_j P_j (bond) P_j."""
-    eye = identity_matrix(geom.local_dim)
+    bond = SiteSupport(x, x + 1)
     sandwich = np.zeros_like(phi.bond(x))
-    for proj in impurity.projectors:
-        p = np.kron(eye, proj) if x + 1 == impurity.site else np.kron(proj, eye)
+    for j in range(len(impurity.projectors)):
+        p = _projector(impurity, j, bond, geom)
         sandwich += p @ phi.bond(x) @ p
-    return DenseOperator(SiteSupport(x, x + 1), sandwich)
+    return DenseOperator(bond, sandwich)
 
 
 def build_decoupled_hamiltonian(phi: NNInteraction, imp: ImpuritySpec, site: int, geom: ChainGeometry) -> DenseOperator:
@@ -344,12 +348,13 @@ def build_decoupled_hamiltonian(phi: NNInteraction, imp: ImpuritySpec, site: int
     on-site impurity matrix at `site` by construction.
     """
     impurity = _check_decoupling_site(imp, site, geom)
-    full = geom.full_support
-    window = SiteSupport(site - 1, site + 1)
     raw = _window_terms(phi, site, geom)
-    compressed = sum(_window_block(raw, impurity, j, j, geom.local_dim) for j in range(geom.local_dim))
-    h = build_nn_hamiltonian(phi, geom) - embed_local(DenseOperator(window, raw), full, geom)
-    return h + embed_local(DenseOperator(window, compressed), full, geom)
+    compressed = sum(_window_block(raw, impurity, j, j, geom) for j in range(geom.local_dim))
+    h = build_nn_hamiltonian(phi, geom)
+    window = site_view(h.matrix, SiteSupport(site - 1, site + 1), geom.full_support, geom.local_dim)
+    window -= raw
+    window += compressed
+    return h
 
 
 def decoupled_split(phi: NNInteraction, imp: ImpuritySpec, site: int, geom: ChainGeometry):
@@ -382,7 +387,7 @@ def offdiagonal_block(phi: NNInteraction, imp: ImpuritySpec, site: int, j: int, 
     if j == k:
         raise ValueError("off-diagonal block needs j != k; the diagonal blocks stay in the decoupled part")
     raw = _window_terms(phi, site, geom)
-    return DenseOperator(SiteSupport(site - 1, site + 1), _window_block(raw, impurity, j, k, d))
+    return DenseOperator(SiteSupport(site - 1, site + 1), _window_block(raw, impurity, j, k, geom))
 
 
 # ---------------------------------------------------------------------------

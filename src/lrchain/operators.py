@@ -120,20 +120,43 @@ def kron_product(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     return DenseOperator(SiteSupport(a.support.lo, b.support.hi), np.kron(a.matrix, b.matrix))
 
 
+def site_view(m: np.ndarray, support: SiteSupport, target: SiteSupport, local_dim: int) -> np.ndarray:
+    """The writable view of `m`, a matrix on `target`, whose entry [l, r] is the block I_l (x) . (x) I_r on `support`.
+
+    Row (l, i, r) and column (l', j, r') of `m`, with i and j the digits
+    of `support` and l and r those of the sites left and right of it, are
+    its entry [l, i, r, l', j, r']; the view keeps the entries with l = l'
+    and r = r', so assigning or adding a local matrix to it places
+    I (x) matrix (x) I by index arithmetic, writing each entry once.
+    """
+    left = local_dim ** (support.lo - target.lo)
+    k = local_dim ** support.n_sites
+    right = local_dim ** (target.hi - support.hi)
+    return np.einsum("lirljr->lrij", m.reshape(left, k, right, left, k, right))
+
+
+def split_index(states: np.ndarray, support: SiteSupport, target: SiteSupport, local_dim: int) -> tuple:
+    """(i, o) for the basis states `states` of `target`: i each state's digit on `support`, o the index of its other digits.
+
+    A state (l, i, r), with l and r its digits on the sites left and right
+    of `support`, has index (l k + i) right + r, k and right the dimensions
+    of `support` and of the sites right of it; o = l right + r.
+    """
+    k = local_dim ** support.n_sites
+    right = local_dim ** (target.hi - support.hi)
+    return states // right % k, states // (k * right) * right + states % right
+
+
 def embed_local(a: DenseOperator, target: SiteSupport, geom: ChainGeometry) -> DenseOperator:
-    """Pad an operator with identities so it acts on the larger interval `target`."""
+    """Pad an operator with identities so it acts on the larger interval `target`, placed by `site_view`."""
     if not target.contains(a.support):
         raise SupportError(f"target {target} does not contain operator support {a.support}")
     geom.check_support(target)
     a.validate_dim(geom)
-    d = geom.local_dim
-    left = d ** (a.support.lo - target.lo)
-    right = d ** (target.hi - a.support.hi)
-    m = a.matrix
-    if left > 1:
-        m = np.kron(identity_matrix(left), m)
-    if right > 1:
-        m = np.kron(m, identity_matrix(right))
+    if target == a.support:
+        return DenseOperator(target, a.matrix)
+    m = np.zeros((geom.dim_of(target), geom.dim_of(target)), dtype=complex)
+    site_view(m, a.support, target, geom.local_dim)[...] = a.matrix
     return DenseOperator(target, m)
 
 

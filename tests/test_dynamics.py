@@ -400,6 +400,38 @@ class TestCommutatorNormTable:
         qutrit_pair = (DenseOperator.single_site(-2, spin_one_z), DenseOperator.single_site(2, spin_one_z))
         assert route_of(qutrit_geom, qutrit_h, *qutrit_pair) == "_block_norms"
 
+    def test_local_observables_give_the_embedded_bits(self, rng, monkeypatch):
+        # the table gathers A and B from the local matrices: the same bits
+        # as with A and B passed already embedded on the full chain, on the
+        # split route (sz and sx B, the latter joining the S^z sectors) and
+        # the block route (a non-Hermitian pair, a three-valued qutrit pair)
+        geom, h = heisenberg_field_chain(rng)
+        sz = DenseOperator.single_site(-2, PAULI["sz"])
+        qutrit_geom, qutrit_phi = random_chain(rng, local_dim=3)
+        qutrit_h = build_perturbed_hamiltonian(qutrit_phi, ImpuritySpec.empty(), qutrit_geom)
+        spin_one_z = np.diag([1.0, 0.0, -1.0])
+        cases = (
+            (geom, h, sz, DenseOperator.single_site(2, PAULI["sz"])),
+            (geom, h, sz, DenseOperator.single_site(1, PAULI["sx"])),
+            (geom, h, DenseOperator(SiteSupport(-1, 0), random_complex(rng, 4)),
+             DenseOperator.single_site(1, random_complex(rng, 2))),
+            (qutrit_geom, qutrit_h, DenseOperator.single_site(-1, spin_one_z), DenseOperator.single_site(1, spin_one_z)),
+        )
+        embedded = []
+        spy = lambda *args: embedded.append(args[0].support) or embed_local(*args)
+        monkeypatch.setattr(dynamics, "embed_local", spy)
+        for g, hamiltonian, a, b in cases:
+            zero = [np.zeros(g.total_dim)]
+            a_full, b_full = (embed_local(m, g.full_support, g) for m in (a, b))
+            want, want_residual = commutator_norm_table(hamiltonian, zero, a_full, b_full, g, self.TIMES)
+            embedded.clear()
+            got, got_residual = commutator_norm_table(hamiltonian, zero, a, b, g, self.TIMES[1:])
+            assert embedded == []
+            assert got.tolist() == want[:, 1:].tolist() and got_residual.tolist() == want_residual.tolist()
+            got, _ = commutator_norm_table(hamiltonian, zero, a, b, g, self.TIMES)
+            assert embedded == [a.support, b.support]
+            assert got.tolist() == want.tolist()
+
     def test_no_hamiltonians(self, rng):
         geom, h0, _ = exchange_and_fields(rng, 0)
         a = DenseOperator.single_site(-2, PAULI["sz"])

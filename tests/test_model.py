@@ -270,6 +270,27 @@ class TestHamiltonianBuilders:
         for got, terms in pairs:
             assert np.array_equal(got.matrix, site_order_sum(terms))
 
+    def test_perturbed_hamiltonian_is_bond_sum_plus_impurity_sum(self, rng):
+        # entry for entry: the bonds summed in site order, then the
+        # impurities summed in site order, then the two sums added, each
+        # term placed by np.kron with identities; three sz impurities share
+        # every diagonal entry, so regrouping the sum would move its bits
+        geom = ChainGeometry(3, 2)
+        phi = NNInteraction(geom, bonds=random_bonds(rng, geom))
+        couplings = {-2: 1.7, 0: -3.1, 2: 0.45}
+        spec = ImpuritySpec.uniform(list(couplings), PAULI["sz"], couplings)
+
+        def placed(lo, hi, m):
+            return np.kron(np.kron(np.eye(2 ** (lo + 3)), m), np.eye(2 ** (3 - hi)))
+
+        bond_sum = np.zeros((geom.total_dim, geom.total_dim), dtype=complex)
+        for x in range(-3, 3):
+            bond_sum += placed(x, x + 1, phi.bond(x))
+        impurity_sum = np.zeros_like(bond_sum)
+        for x, lam in couplings.items():
+            impurity_sum += placed(x, x, lam * PAULI["sz"])
+        assert np.array_equal(build_perturbed_hamiltonian(phi, spec, geom).matrix, bond_sum + impurity_sum)
+
     def test_qutrit_oracle(self, rng):
         geom = ChainGeometry(1, 3)
         bonds = {x: random_hermitian(rng, 9) for x in (-1, 0)}

@@ -132,6 +132,24 @@ class TestKronAndEmbed:
         big = embed_local(a, geom.full_support, geom)
         assert abs(operator_norm(big) - operator_norm(a)) <= 1e-12
 
+    @pytest.mark.parametrize("local_dim", [2, 3])
+    def test_embed_equals_kron_with_identities(self, rng, local_dim):
+        # every support inside the chain and every target holding it:
+        # the index-arithmetic placement against its definition I (x) a (x) I
+        for half_length in (1, 2):
+            geom = ChainGeometry(half_length, local_dim)
+            intervals = [SiteSupport(lo, hi) for lo in geom.full_support.sites() for hi in range(lo, half_length + 1)]
+            for support in intervals:
+                a = DenseOperator(support, random_complex(rng, geom.dim_of(support)))
+                for target in (t for t in intervals if t.contains(support)):
+                    left = np.eye(local_dim ** (support.lo - target.lo))
+                    right = np.eye(local_dim ** (target.hi - support.hi))
+                    got = embed_local(a, target, geom)
+                    assert got.support == target
+                    assert np.array_equal(got.matrix, np.kron(np.kron(left, a.matrix), right)), (support, target)
+                    if target == support:
+                        assert got.matrix is a.matrix
+
     def test_embed_rejects_noncontaining_target(self, rng):
         geom = ChainGeometry(2, 2)
         a = DenseOperator(SiteSupport(0, 1), random_complex(rng, 4))
