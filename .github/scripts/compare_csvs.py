@@ -1,4 +1,4 @@
-"""Warn about benchmark reports that differ between two source trees.
+"""Warn about benchmark reports and demo output that differ between two source trees.
 
 Writes the inputs of the verify-L4, identities-L3 and disorder-L3-mt
 workloads at seeds 5, 6 and 7 with HEAD_TREE's perfbench/workloads.py,
@@ -6,9 +6,11 @@ runs each tree's perfbench/child.py once on its own copy of each, and
 prints a GitHub Actions `::warning::` line for each CSV that differs and
 for each JSON report that differs.  The JSON comparison leaves out the timings (keys
 ending in `_ms`) and the `model` and `out` paths, which differ between the
-two runs by construction, and names the first differing key path.  A
-differing report does not fail the run, since a change may move documented
-digits; a child that exits nonzero does.
+two runs by construction, and names the first differing key path.  Then it
+runs each of HEAD_TREE's demos/*.py in both trees and warns for each demo
+whose stdout differs.  A differing report or demo output does not fail the
+run, since a change may move documented digits; a child or demo that exits
+nonzero does.
 
     python3 .github/scripts/compare_csvs.py BASE_TREE HEAD_TREE
 """
@@ -91,6 +93,19 @@ def main(argv) -> int:
                 print(f"{name} seed {seed}: JSON identical to the base tree's apart from timings and paths")
             else:
                 print(f"::warning::{name} seed {seed}: JSON differs from the base tree's at {where}")
+    for demo in sorted(f for f in os.listdir(os.path.join(head, "demos")) if f.endswith(".py")):
+        if not os.path.exists(os.path.join(base, "demos", demo)):
+            print(f"demos/{demo}: not in the base tree")
+            continue
+        stdouts = []
+        for tree in (base, head):
+            env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+            cmd = [sys.executable, os.path.join(tree, "demos", demo)]
+            stdouts.append(subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True, text=True).stdout)
+        if stdouts[0] == stdouts[1]:
+            print(f"demos/{demo}: stdout identical to the base tree's")
+        else:
+            print(f"::warning::demos/{demo}: stdout differs from the base tree's")
     return 0
 
 

@@ -31,7 +31,7 @@ J = 1.0
 def main() -> None:
     geom = ChainGeometry(HALF_LENGTH, 2)
     phi = NNInteraction(geom, bonds={x: heisenberg_bond(J) for x in range(-HALF_LENGTH, HALF_LENGTH)})
-    imp = ImpuritySpec.empty()
+    imp = ImpuritySpec()
     h = build_perturbed_hamiltonian(phi, imp, geom)
     params = LRParameters.compute(MU, phi.strength)
 

@@ -19,7 +19,7 @@ keyed on that child, so reports are byte-identical across reruns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log
+from math import ceil, isfinite, log
 
 import numpy as np
 
@@ -82,6 +82,10 @@ class DisorderConfig:
     epsilon: float | None = None
 
     def __post_init__(self):
+        for name in ("mu", "J", "epsilon"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.J <= 0:
@@ -99,6 +103,8 @@ class DisorderConfig:
         grid = tuple(float(t) for t in self.t_grid)
         if not grid:
             raise ValueError("t_grid must be nonempty")
+        if not all(isfinite(t) for t in grid):
+            raise ValueError(f"t_grid entries must be finite, got {list(grid)}")
         if any(t < 0 for t in grid):
             raise ValueError("t_grid entries must be nonnegative")
         if self.epsilon is not None and self.epsilon <= 0:

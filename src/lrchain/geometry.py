@@ -39,9 +39,6 @@ class SiteSupport:
     def diam(self) -> int:
         return self.hi - self.lo
 
-    def sites(self) -> range:
-        return range(self.lo, self.hi + 1)
-
     def contains(self, other: SiteSupport) -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 

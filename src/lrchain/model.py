@@ -26,7 +26,6 @@ from .operators import (
     HermiticityError,
     embed_local,
     hermitian_spectral,
-    identity_matrix,
     operator_norm,
     site_view,
 )
@@ -74,10 +73,6 @@ class NNInteraction:
                 terms[x] = b
         self._terms = terms
         self._zero = np.zeros((d2, d2), dtype=complex)
-
-    @classmethod
-    def zero(cls, geom: ChainGeometry) -> NNInteraction:
-        return cls(geom)
 
     def bond(self, x: int) -> np.ndarray:
         """Bond term on (x, x+1); zero matrix if the bond is absent."""
@@ -133,7 +128,7 @@ class SiteImpurity:
                 want = projs[j] if j == k else 0.0
                 if np.max(np.abs(prod - want)) > PROJECTOR_TOL:
                     raise ValueError(f"projectors {j}, {k} at site {self.site} are not orthogonal idempotents")
-        if np.max(np.abs(projs.sum(axis=0) - identity_matrix(d))) > PROJECTOR_TOL:
+        if np.max(np.abs(projs.sum(axis=0) - np.eye(d))) > PROJECTOR_TOL:
             raise ValueError(f"projectors at site {self.site} do not sum to the identity")
         evals.setflags(write=False)
         projs.setflags(write=False)
@@ -186,10 +181,6 @@ class ImpuritySpec:
             raise ValueError(f"impurities have inconsistent local dimensions {sorted(dims)}")
         self.impurities = tuple(imps)
         self.couplings = couplings
-
-    @classmethod
-    def empty(cls) -> ImpuritySpec:
-        return cls()
 
     @classmethod
     def uniform(cls, sites, hermitian_matrix, coupling) -> ImpuritySpec:

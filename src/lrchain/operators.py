@@ -2,9 +2,8 @@
 
 Matrices are dense complex128 arrays indexed in row-major site order: the
 leftmost site of the support is the most significant tensor factor.  All
-operator algebra (products, embeddings, partial averages) keeps that
-convention, so two operators agree entrywise iff they agree as chain
-operators.
+operator algebra (embeddings, partial averages) keeps that convention, so
+two operators agree entrywise iff they agree as chain operators.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def identity_matrix(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
 @dataclass(frozen=True)
 class DenseOperator:
     """A dense matrix together with the site interval it acts on."""
@@ -63,19 +58,9 @@ class DenseOperator:
     def single_site(cls, site: int, matrix) -> DenseOperator:
         return cls(SiteSupport.single(site), np.asarray(matrix, dtype=complex))
 
-    @classmethod
-    def identity(cls, support: SiteSupport, geom: ChainGeometry) -> DenseOperator:
-        return cls(support, identity_matrix(geom.dim_of(support)))
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def dag(self) -> DenseOperator:
-        return DenseOperator(self.support, self.matrix.conj().T)
-
-    def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= HERMITICITY_TOL)
 
     def validate_dim(self, geom: ChainGeometry) -> None:
         expected = geom.dim_of(self.support)
@@ -101,23 +86,6 @@ class DenseOperator:
         return DenseOperator(self.support, self.matrix * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> DenseOperator:
-        return DenseOperator(self.support, -self.matrix)
-
-    def __matmul__(self, other: DenseOperator) -> DenseOperator:
-        self._check_same_support(other)
-        return DenseOperator(self.support, self.matrix @ other.matrix)
-
-
-def kron_product(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    """Tensor product of operators on adjacent supports, a to the left of b."""
-    if a.support.hi + 1 != b.support.lo:
-        raise SupportError(
-            f"kron_product needs adjacent supports with the first on the left: "
-            f"{a.support} then {b.support}"
-        )
-    return DenseOperator(SiteSupport(a.support.lo, b.support.hi), np.kron(a.matrix, b.matrix))
 
 
 def site_view(m: np.ndarray, support: SiteSupport, target: SiteSupport, local_dim: int) -> np.ndarray:
@@ -233,12 +201,8 @@ def conditional_expectation(a: DenseOperator, keep: SiteSupport, geom: ChainGeom
         raise SupportError(f"conditional_expectation expects a full-chain operator, got {a.support}")
     geom.check_support(keep)
     a.validate_dim(geom)
-    d = geom.local_dim
-    dl = d ** (keep.lo - geom.full_support.lo)  # the sites traced out on the left
-    dk = d ** keep.n_sites
-    dr = d ** (geom.full_support.hi - keep.hi)  # the sites traced out on the right
-    # row (l, k, r), column (l', k', r'): the trace pairs l with l' and r with r'
-    reduced = np.einsum("lirljr->ij", a.matrix.reshape(dl, dk, dr, dl, dk, dr)) / (dl * dr)
+    # block [l, r] of the view pairs l with l' and r with r': their mean is the normalized trace outside keep
+    reduced = site_view(a.matrix, keep, geom.full_support, geom.local_dim).mean(axis=(0, 1))
     return embed_local(DenseOperator(keep, reduced), geom.full_support, geom)
 
 

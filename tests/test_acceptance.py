@@ -277,9 +277,9 @@ def test_criterion_3_improvement_found_by_harness():
         params = cfg.parameters()
         floor = main_constant(params, 2) * MU * d / (params.C0 * coupling * gap)
         ratios = [
-            rec.bound("main").value / rec.bound("apriori").value
+            rec.bounds["main"].value / rec.bounds["apriori"].value
             for rec in report.records
-            if rec.bound("main").applicable and np.isfinite(rec.bound("apriori").value)
+            if rec.bounds["main"].applicable and np.isfinite(rec.bounds["apriori"].value)
         ]
         runs[coupling] = (report, floor, ratios)
 

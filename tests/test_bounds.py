@@ -208,7 +208,7 @@ SA, SB = SiteSupport(-4, -4), SiteSupport(4, 4)
 class TestMainBound:
     def test_empty_window_falls_back_to_apriori(self):
         p = params_for(1.0)
-        out = main_bound(p, 2, SA, SB, ImpuritySpec.empty(), 0.5)
+        out = main_bound(p, 2, SA, SB, ImpuritySpec(), 0.5)
         assert out.applicable
         assert out.window == ()
         assert abs(out.value - apriori_bound(p, 0.5, 8)) <= 1e-12 * out.value
@@ -285,7 +285,7 @@ class TestUniformBound:
 
     def test_requires_uniform_family(self):
         p = params_for(1.0)
-        empty = uniform_impurity_bound(p, 2, SA, SB, ImpuritySpec.empty(), 0.5)
+        empty = uniform_impurity_bound(p, 2, SA, SB, ImpuritySpec(), 0.5)
         assert empty == BoundOutcome.not_applicable("uniform impurity bound needs at least one impurity")
         mixed = ImpuritySpec.uniform([-3, 3], np.diag([1.0, -1.0]), {-3: 1.0, 3: 2.0})
         out = uniform_impurity_bound(p, 2, SA, SB, mixed, 0.5)
@@ -419,7 +419,7 @@ class TestBoundReport:
 
     @staticmethod
     def record(exact, *bounds):
-        return ExperimentRecord(0.5, 8, 0, exact, bounds, 0.0)
+        return ExperimentRecord(0.5, 8, 0, exact, dict(bounds), 0.0)
 
     def test_report_fields(self):
         geom = ChainGeometry(4, 2)
@@ -432,9 +432,9 @@ class TestBoundReport:
         rep = run_verify(cfg).records[0]
         p = cfg.parameters()
         assert rep.t == 0.5 and rep.distance == 8 and rep.window_size == 1
-        assert rep.bound("main").prefactor_product == 100.0
-        assert rep.bound("apriori").value == apriori_bound(p, 0.5, 8)
-        assert rep.bound("main").value == main_bound(p, 2, SA, SB, imp, 0.5).value
+        assert rep.bounds["main"].prefactor_product == 100.0
+        assert rep.bounds["apriori"].value == apriori_bound(p, 0.5, 8)
+        assert rep.bounds["main"].value == main_bound(p, 2, SA, SB, imp, 0.5).value
 
     def test_violation_messages(self):
         good = self.record(1.0, ("apriori", BoundOutcome(2.0, True)), ("main", BoundOutcome(1.5, True)))

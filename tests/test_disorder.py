@@ -179,6 +179,16 @@ class TestDisorderConfig:
         with pytest.raises(ValueError, match="epsilon"):
             config(epsilon=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["mu", "J", "epsilon", "t_grid"])
+    def test_rejects_non_finite_numbers(self, field, value):
+        # nan passes every `<= 0` test and inf sweeps to nan bounds, so each field is checked by name
+        given = (value,) if field == "t_grid" else value
+        with pytest.raises(ValueError, match=f"{field}( entries)? must be finite"):
+            config(**{field: given})
+        with pytest.raises(ValueError, match=f"{field}( entries)? must be finite"):
+            dataclasses.replace(config(), **{field: given})
+
     def test_from_json(self, tmp_path):
         doc = {
             "mu": 1.0, "J": 1.0, "a": 0.25, "b": 0.5, "L": 3,

@@ -67,7 +67,7 @@ def make_config(
 ):
     geom = ChainGeometry(half_length, 2)
     if zero_bonds:
-        phi = NNInteraction.zero(geom)
+        phi = NNInteraction(geom)
     else:
         bonds = {
             x: random_hermitian(rng, 4, norm=bond_norm)
@@ -77,7 +77,7 @@ def make_config(
     imp = (
         ImpuritySpec.uniform(list(impurity_sites), np.diag([1.0, -1.0]), coupling)
         if impurity_sites
-        else ImpuritySpec.empty()
+        else ImpuritySpec()
     )
     obs_a = ObservableSpec(-half_length, np.array(PAULI["sz"]), "sz")
     obs_b = ObservableSpec(half_length, np.array(PAULI["sz"]), "sz")
@@ -134,8 +134,8 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="mu"):
             make_config(rng).__class__(
                 ChainGeometry(2, 2),
-                NNInteraction.zero(ChainGeometry(2, 2)),
-                ImpuritySpec.empty(),
+                NNInteraction(ChainGeometry(2, 2)),
+                ImpuritySpec(),
                 0.0,
                 ObservableSpec(-2, np.array(PAULI["sz"]), "sz"),
                 ObservableSpec(2, np.array(PAULI["sz"]), "sz"),
@@ -146,13 +146,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="finite"):
             make_config(rng, t_grid=(float("inf"),))
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_mu(self, rng, mu):
+        # mu = nan passes `mu <= 0`, and mu = inf gives nan a-priori bounds that no violation test catches
+        with pytest.raises(ConfigError, match="mu must be finite"):
+            dataclasses.replace(make_config(rng), mu=mu)
+
     def test_observable_site_must_be_on_chain(self, rng):
         geom = ChainGeometry(2, 2)
         with pytest.raises(ConfigError, match="observable_b"):
             ExperimentConfig(
                 geom,
-                NNInteraction.zero(geom),
-                ImpuritySpec.empty(),
+                NNInteraction(geom),
+                ImpuritySpec(),
                 1.0,
                 ObservableSpec(-2, np.array(PAULI["sz"]), "sz"),
                 ObservableSpec(5, np.array(PAULI["sz"]), "sz"),
@@ -164,8 +170,8 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="local dimension"):
             ExperimentConfig(
                 geom,
-                NNInteraction.zero(geom),
-                ImpuritySpec.empty(),
+                NNInteraction(geom),
+                ImpuritySpec(),
                 1.0,
                 ObservableSpec(-2, np.array(PAULI["sz"]), "sz"),
                 ObservableSpec(2, np.array(PAULI["sz"]), "sz"),
@@ -278,7 +284,7 @@ class TestRunVerify:
         report = run_verify(cfg)
         rec = report.records[0]
         assert rec.exact_norm == 0.0
-        assert rec.bound("apriori").value == 0.0
+        assert rec.bounds["apriori"].value == 0.0
         assert report.ok
 
     def test_spectral_blocks_reported(self, rng):
@@ -333,8 +339,8 @@ class TestRunVerify:
         assert report.ok
         assert len(report.records) == 3
         for rec in report.records:
-            assert rec.exact_norm <= rec.bound("apriori").value + 1e-9
-            main = rec.bound("main")
+            assert rec.exact_norm <= rec.bounds["apriori"].value + 1e-9
+            main = rec.bounds["main"]
             assert main.applicable
             assert main.window == (0,)
             assert rec.exact_norm <= main.value + 1e-9
@@ -345,7 +351,7 @@ class TestRunVerify:
         cfg = make_config(rng, half_length=3, t_grid=(0.5,))
         report = run_verify(cfg)
         assert report.ok
-        main = report.records[0].bound("main")
+        main = report.records[0].bounds["main"]
         assert not main.applicable and "too close" in main.reason
 
     def test_rerun_and_threads_are_byte_identical(self, rng):
@@ -396,7 +402,7 @@ class TestRunVerify:
             observable_b=ObservableSpec(1, np.array(PAULI["sz"]), "sz"),
         )
         report = run_verify(cfg)
-        main = report.records[0].bound("main")
+        main = report.records[0].bounds["main"]
         assert not main.applicable
         assert "too close" in main.reason
         doc = report.to_json_doc()
@@ -410,7 +416,7 @@ class TestRunVerify:
         fallback = "no impurities in the window; a-priori bound used as fallback"
         cases = [
             (
-                ImpuritySpec.empty(),
+                ImpuritySpec(),
                 {
                     "main": fallback,
                     "corollary": "uniform impurity bound needs at least one impurity",
@@ -442,7 +448,7 @@ class TestRunVerify:
     def test_numpy_integer_window_serializes(self, rng):
         clean = run_verify(make_config(rng, t_grid=(0.5,)))
         outcome = BoundOutcome(1.0, True, None, (np.int64(0),), 2.0)
-        record = ExperimentRecord(0.5, 6, 1, 0.1, (("apriori", BoundOutcome(3.0, True)), ("main", outcome)), 0.1)
+        record = ExperimentRecord(0.5, 6, 1, 0.1, {"apriori": BoundOutcome(3.0, True), "main": outcome}, 0.1)
         report = dataclasses.replace(clean, bound_set=("apriori", "main"), records=(record,))
         main = json.loads(report.to_json())["records"][0]["bounds"]["main"]
         assert main == {"value": 1.0, "applicable": True, "reason": None, "window": [0], "prefactor_product": 2.0}
@@ -450,15 +456,14 @@ class TestRunVerify:
 
 class TestImprovementPoints:
     def fabricated(self, main_value, apriori_value, window=(0,), applicable=True):
-        bounds = (
-            ("apriori", BoundOutcome(apriori_value, True)),
-            (
-                "main",
+        bounds = {
+            "apriori": BoundOutcome(apriori_value, True),
+            "main": (
                 BoundOutcome(main_value, applicable, None, window, 100.0)
                 if applicable
-                else BoundOutcome.not_applicable("hypothesis fails"),
+                else BoundOutcome.not_applicable("hypothesis fails")
             ),
-        )
+        }
         return ExperimentRecord(0.5, 8, len(window), 1e-8, bounds, 1.0)
 
     def test_detects_strict_improvement(self):
@@ -476,7 +481,7 @@ class TestImprovementPoints:
         clean = run_verify(cfg)
         bad_record = ExperimentRecord(
             0.5, 6, 1, exact_norm=10.0,
-            bounds=(("apriori", BoundOutcome(1.0, True)),), wall_time_ms=0.1,
+            bounds={"apriori": BoundOutcome(1.0, True)}, wall_time_ms=0.1,
         )
         msgs = bad_record.violations()
         assert len(msgs) == 1 and "exceeds" in msgs[0]
@@ -669,7 +674,7 @@ class TestRunIdentities:
         for local_dim, a, split in cases:
             geom = ChainGeometry(2 if local_dim == 2 else 1, local_dim)
             bonds = {x: random_hermitian(rng, local_dim**2, norm=1.0) for x in range(-geom.half_length, geom.half_length)}
-            h = build_perturbed_hamiltonian(NNInteraction(geom, bonds=bonds), ImpuritySpec.empty(), geom)
+            h = build_perturbed_hamiltonian(NNInteraction(geom, bonds=bonds), ImpuritySpec(), geom)
             ctx = EvolutionContext(h, geom)
             unitaries = epsilon_unitaries(a.support, geom)
             got = projection_commutator_norm(ctx, a, 0.5, unitaries)

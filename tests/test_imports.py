@@ -16,3 +16,10 @@ def test_import_does_not_load_scipy():
     code = f"import sys, lrchain; print(sorted(m for m in sys.modules if m.split('.')[0] in {UNWANTED!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_every_export_resolves():
+    # a member deleted from a module must leave `__all__` with it
+    assert [name for name in lrchain.__all__ if not hasattr(lrchain, name)] == []
+    assert len(set(lrchain.__all__)) == len(lrchain.__all__)
+    exec("from lrchain import *", {})  # raises on a name in `__all__` that the package does not bind

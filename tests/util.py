@@ -35,18 +35,6 @@ def random_complex(rng, rows: int, cols: int | None = None) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product by quadruple index loop (no np.kron)."""
-    da, db = a.shape[0], b.shape[0]
-    out = np.zeros((da * db, da * db), dtype=complex)
-    for i in range(da):
-        for j in range(da):
-            for k in range(db):
-                for l in range(db):
-                    out[i * db + k, j * db + l] = a[i, j] * b[k, l]
-    return out
-
-
 def embed_oracle(m: np.ndarray, n_left: int, n_right: int, d: int) -> np.ndarray:
     """Identity padding by explicit index arithmetic (no np.kron)."""
     dl, dm, dr = d**n_left, m.shape[0], d**n_right
