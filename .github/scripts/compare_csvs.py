@@ -4,9 +4,12 @@ Writes the inputs of the verify-L4, identities-L3 and disorder-L3-mt
 workloads at seeds 5, 6 and 7 with HEAD_TREE's perfbench/workloads.py,
 runs each tree's perfbench/child.py once on its own copy of each, and
 prints a GitHub Actions `::warning::` line for each CSV that differs and
-for each JSON report that differs.  The JSON comparison leaves out the timings (keys
-ending in `_ms`) and the `model` and `out` paths, which differ between the
-two runs by construction, and names the first differing key path.  Then it
+for each JSON report that differs.  Under a differing CSV it prints, for
+each column that moved, the largest absolute and relative difference with
+its row when the column is numeric, and how many rows changed otherwise.
+The JSON comparison leaves out the timings (keys ending in `_ms`) and the
+`model` and `out` paths, which differ between the two runs by
+construction, and names the first differing key path.  Then it
 runs each of HEAD_TREE's demos/*.py in both trees and warns for each demo
 whose stdout differs.  A differing report or demo output does not fail the
 run, since a change may move documented digits; a child or demo that exits
@@ -15,9 +18,11 @@ nonzero does.
     python3 .github/scripts/compare_csvs.py BASE_TREE HEAD_TREE
 """
 
+import csv
 import filecmp
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +40,49 @@ def comparable(node):
     if isinstance(node, list):
         return [comparable(v) for v in node]
     return node
+
+
+def _finite(text: str):
+    """`text` as a finite float, or None."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def column_differences(base_csv: str, head_csv: str) -> list:
+    """One line per column that differs between two CSV files, rows counted from 1 after the header.
+
+    A column whose differing entries are all finite numbers gets its largest
+    absolute and its largest relative difference (against the base value),
+    each with its row; any other column gets its count of differing rows and
+    the first of them, so a flipped flag is named too.
+    """
+    tables = []
+    for path in (base_csv, head_csv):
+        with open(path, newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    base, head = tables
+    if not base or not head or base[0] != head[0] or len(base) != len(head):
+        return [f"header or row count differs: {len(base)} -> {len(head)} lines"]
+    lines = []
+    for col, name in enumerate(base[0]):
+        moved = [(row, b[col], h[col]) for row, (b, h) in enumerate(zip(base[1:], head[1:]), 1) if b[col] != h[col]]
+        if not moved:
+            continue
+        numbers = [(row, _finite(b), _finite(h)) for row, b, h in moved]
+        if any(b is None or h is None for _, b, h in numbers):
+            row, b, h = moved[0]
+            lines.append(f"{name}: {len(moved)} rows differ, first row {row}: {b} -> {h}")
+            continue
+        absolute = max((abs(h - b), row) for row, b, h in numbers)
+        relative = max((abs(h - b) / abs(b) if b else math.inf, row) for row, b, h in numbers)
+        lines.append(
+            f"{name}: {len(moved)} rows differ; largest absolute difference {absolute[0]:.3e} at row {absolute[1]}, "
+            f"largest relative difference {relative[0]:.3e} at row {relative[1]}"
+        )
+    return lines
 
 
 def first_difference(base, head, path=""):
@@ -84,6 +132,8 @@ def main(argv) -> int:
                 print(f"{name} seed {seed}: CSV identical to the base tree's")
             else:
                 print(f"::warning::{name} seed {seed}: CSV differs from the base tree's")
+                for line in column_differences(*(out + ".csv" for out in outs)):
+                    print(f"    {line}")
             docs = []
             for out in outs:
                 with open(out + ".json") as fh:

@@ -81,23 +81,30 @@ def _block_spectra(h: np.ndarray, groups: list, diagonals: np.ndarray) -> tuple:
     """Eigendecompose H_r = H + diag(d_r) on each group, a union of components of ``H != 0``, for each row d_r.
 
     Per group, one stacked `hermitian_spectral`, whose members get the bits
-    they would get alone.  Returns one stacked (eigenvalues, eigenvectors)
-    pair per group, and the reconstruction residual of each H_r: the
-    relative Frobenius residual of the blocks' V diag(w) V^dag against H_r,
-    summed over groups since off-block entries are zero in both.  The first
-    member that is not Hermitian or is over RECONSTRUCTION_TOL raises, with
-    the text it would raise alone.
+    they would get alone.  A group's stack is real when H's block and the
+    d_r on it have no imaginary part, so a real symmetric H_r, such as a
+    spin chain in the S^z basis, takes real arithmetic throughout.  Returns
+    one stacked (eigenvalues, eigenvectors) pair per group, and the
+    reconstruction residual of each H_r: the relative Frobenius residual of
+    the blocks' V diag(w) V^dag against H_r, summed over groups since
+    off-block entries are zero in both.  The first member that is not
+    Hermitian or is over RECONSTRUCTION_TOL raises, with the text it would
+    raise alone.
     """
     spectra = []
     squared_residual = squared_norm = 0.0
     for idx in groups:
         k = len(idx)
-        stack = np.zeros((len(diagonals), k, k), dtype=complex)
-        stack[:, np.arange(k), np.arange(k)] = diagonals[:, idx]
-        stack += h[np.ix_(idx, idx)]
+        block, values = h[np.ix_(idx, idx)], diagonals[:, idx]
+        if not (np.any(block.imag) or np.any(np.imag(values))):
+            block, values = block.real, values.real
+        stack = np.zeros((len(values), k, k), dtype=np.result_type(block, values))
+        stack[:, np.arange(k), np.arange(k)] = values
+        stack += block
         evals, evecs = hermitian_spectral(stack)
-        rebuilt = (evecs * evals[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
-        rebuilt -= stack
+        # a complex stack can hold members that are real once symmetrized, so
+        # the difference takes the wider of the two dtypes
+        rebuilt = (evecs * evals[..., None, :]) @ evecs.conj().swapaxes(-1, -2) - stack
         squared_residual += _squared_frobenius(rebuilt)
         squared_norm += _squared_frobenius(stack)
         del stack, rebuilt
@@ -109,10 +116,24 @@ def _block_spectra(h: np.ndarray, groups: list, diagonals: np.ndarray) -> tuple:
     return spectra, residual
 
 
+def _sandwich(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ m @ right as a complex array, for eigenvector matrices `left` and `right` or stacks of them.
+
+    When both are real, the real and imaginary parts of m are multiplied
+    apart, in real arithmetic, and a zero imaginary part is skipped.
+    """
+    if np.iscomplexobj(left) or np.iscomplexobj(right):
+        return left @ m @ right
+    out = (left @ m.real @ right).astype(complex)
+    if np.any(m.imag):
+        out.imag = left @ m.imag @ right
+    return out
+
+
 def _rotate(evecs: np.ndarray, *blocks: np.ndarray) -> tuple:
     """V^dag M V for each block M, with V a stack of eigenvector matrices."""
     evecs_dag = evecs.conj().swapaxes(-1, -2)
-    return tuple(evecs_dag @ m @ evecs for m in blocks)
+    return tuple(_sandwich(evecs_dag, m, evecs) for m in blocks)
 
 
 def _block_norms(eigenvalues: np.ndarray, a_rot: np.ndarray, b_rot: np.ndarray, hermitian: bool, t: float):
@@ -260,11 +281,11 @@ class EvolutionContext:
         for i, j in zip(*np.nonzero(touched)):
             (w_i, v_i), (w_j, v_j) = self.spectra[i], self.spectra[j]
             block = np.ix_(self.spectral_blocks[i], self.spectral_blocks[j])
-            core = v_i.conj().T @ full.matrix[block] @ v_j
+            core = _sandwich(v_i.conj().T, full.matrix[block], v_j)
             core *= phases[i][:, None] * phases[j].conj()[None, :]
             if weight is not None:
                 core *= weight(w_i[:, None] - w_j[None, :])
-            out[block] = v_i @ core @ v_j.conj().T
+            out[block] = _sandwich(v_i, core, v_j.conj().T)
         return DenseOperator(full.support, out)
 
 
@@ -307,9 +328,10 @@ def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, un
 
 
 # bytes of one stack of the largest group over a chunk of Hamiltonians in
-# `commutator_norm_table`: 13 Hamiltonians at L=3, whose largest S^z sector
-# has dimension 35.  A chunk keeps a few such stacks alive at a time, which
-# adds about a megabyte to the peak resident memory
+# `commutator_norm_table`: 26 real Hamiltonians at L=3, 8 bytes per entry,
+# whose largest S^z sector has dimension 35 (13 complex ones, at 16 bytes).
+# A chunk keeps a few such stacks alive at a time, which adds about a
+# megabyte to the peak resident memory
 _STACK_CHUNK_BYTES = 1 << 18
 
 
@@ -381,7 +403,10 @@ def commutator_norm_table(
         b_parts = [_gather(b, geom, idx) for idx in groups]
     gathered = [(_gather(a, geom, idx), b_part) for idx, b_part in zip(groups, b_parts)]
     largest = max(len(idx) for idx in groups)
-    chunk = max(1, _STACK_CHUNK_BYTES // (16 * largest * largest))  # 16 bytes per complex128 entry
+    # the dtype `_block_spectra` stacks H0 in; diagonals with an imaginary
+    # part, Hermitian only to tolerance, stack a real H0 at twice the bytes
+    entry_bytes = np.dtype(complex if np.any(h.imag) else float).itemsize
+    chunk = max(1, _STACK_CHUNK_BYTES // (entry_bytes * largest * largest))
 
     diagonals = iter(diagonals)
     norm_chunks, residual_chunks = [np.zeros((0, len(times)))], [np.zeros(0)]

@@ -30,8 +30,9 @@ class HermiticityError(ValueError):
 
 
 def _as_matrix(a) -> np.ndarray:
-    """The square matrix of `a`, or a stack of square matrices of shape (..., n, n)."""
-    m = a.matrix if isinstance(a, DenseOperator) else np.asarray(a, dtype=complex)
+    """The square matrix of `a`, or a stack of square matrices of shape (..., n, n): float64 if real-typed, else complex128."""
+    m = a.matrix if isinstance(a, DenseOperator) else np.asarray(a)
+    m = m.astype(np.result_type(m, float), copy=False)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
@@ -166,11 +167,15 @@ def hermitian_spectral(a):
     with a nonzero defect is symmetrized before calling the eigensolver, so
     tiny float asymmetry cannot leak into complex eigenvalues; one that
     equals its adjoint entry for entry goes in as it is, since
-    0.5 (M + M^dag) would reproduce it bit for bit.  Returns (eigenvalues
-    ascending, unitary of eigenvectors as columns), with the stack's leading
-    axes in front.  The batched `eigh` decomposes every member on its own,
-    so a member's result equals that of the matrix passed alone; the first
-    member over tolerance raises, with the text a lone matrix would give.
+    0.5 (M + M^dag) would reproduce it bit for bit.  A matrix whose
+    imaginary part is then exactly zero, real-typed or not, is real
+    symmetric and takes the real `eigh`, with real eigenvectors; any other
+    takes the complex one.  Returns (eigenvalues ascending, unitary of
+    eigenvectors as columns), with the stack's leading axes in front.  The
+    batched `eigh` decomposes every member on its own, and each member of a
+    stack takes the route it would take alone, so a member's result equals
+    that of the matrix passed alone; the first member over tolerance
+    raises, with the text a lone matrix would give.
     """
     m = _as_matrix(a)
     adj = _adjoint(m)
@@ -185,7 +190,12 @@ def hermitian_spectral(a):
     asymmetric = defect != 0
     if np.any(asymmetric):
         m = np.where(asymmetric[..., None, None], 0.5 * (m + adj), m)
+    real = ~np.any(m.imag, axis=(-2, -1))
+    if np.all(real):
+        return np.linalg.eigh(m.real)
     evals, evecs = np.linalg.eigh(m)
+    if np.any(real):
+        evals[real], evecs[real] = np.linalg.eigh(m[real].real)
     return evals, evecs
 
 

@@ -579,7 +579,8 @@ class TestMonteCarloSweep:
             sizes.append(len(m))
             return spectral(m, *args)
 
-        monkeypatch.setattr(dynamics, "_STACK_CHUNK_BYTES", per_chunk * 16 * largest * largest)
+        # the chain is real, so its stacks take 8 bytes per entry
+        monkeypatch.setattr(dynamics, "_STACK_CHUNK_BYTES", per_chunk * 8 * largest * largest)
         monkeypatch.setattr(dynamics, "hermitian_spectral", recording_spectral)
         got = monte_carlo_sweep(cfg)
         chunks = [min(per_chunk, 7 - start) for start in range(0, 7, per_chunk)]

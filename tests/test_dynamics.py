@@ -325,6 +325,46 @@ class TestCommutatorNormTable:
             assert len(ctx.spectral_blocks) == 1
             assert residuals[r] == ctx.reconstruction_residual, r
 
+    def test_real_route_matches_complex_route(self, rng, monkeypatch):
+        # H_r = H0 + diag(d_r) is real symmetric, so it takes the real eigh;
+        # D H_r D^dag for a random diagonal phase unitary D is complex with
+        # the same zero pattern and takes the complex one, apart from the
+        # one-state sectors, which are real.  Diagonal A and B
+        # commute with D, so both tables hold the same norms in exact
+        # arithmetic, and they agree to the dense-ED floor on the split
+        # route (sz pair) and the block route (B with four values)
+        geom, h0, fields = exchange_and_fields(rng, 4, half_length=3)
+        dim = geom.total_dim
+        phases = np.exp(2j * np.pi * rng.random(dim))
+        rotated = DenseOperator(geom.full_support, phases[:, None] * h0.matrix * phases.conj()[None, :])
+        assert np.any(rotated.matrix.imag)
+        dtypes = []
+        spectral = dynamics.hermitian_spectral
+
+        def recording_spectral(m):
+            evals, evecs = spectral(m)
+            dtypes.append(evecs.dtype if m.shape[-1] > 1 else "one state")
+            return evals, evecs
+
+        monkeypatch.setattr(dynamics, "hermitian_spectral", recording_spectral)
+        cases = (
+            (DenseOperator.single_site(-3, PAULI["sz"]), DenseOperator.single_site(3, PAULI["sz"])),
+            (DenseOperator.single_site(-3, np.diag(rng.standard_normal(2))),
+             DenseOperator(SiteSupport(2, 3), np.diag(rng.standard_normal(4)))),
+        )
+        for a, b in cases:
+            dtypes.clear()
+            real_norms, _ = commutator_norm_table(h0, fields, a, b, geom, self.TIMES)
+            assert set(dtypes) == {np.dtype(np.float64), "one state"}
+            dtypes.clear()
+            complex_norms, _ = commutator_norm_table(rotated, fields, a, b, geom, self.TIMES)
+            assert set(dtypes) == {np.dtype(np.complex128), "one state"}
+            scale = operator_norm(a) * operator_norm(b)
+            for r, d in enumerate(fields):
+                floor = ed_floor(operator_norm(h0.matrix + np.diag(d)), dim, self.TIMES, scale)
+                assert np.all(np.abs(real_norms[r] - complex_norms[r]) <= floor), (r, real_norms[r], complex_norms[r])
+                assert real_norms[r, -1] > 1e-3
+
     def test_two_valued_route_matches_dense_evolution(self, rng, monkeypatch):
         # a Hermitian pair with a B that is diagonal with two distinct values
         # takes the norm from the block P_1 X P_2: sz pairs, a diagonal inline
@@ -347,7 +387,8 @@ class TestCommutatorNormTable:
         sectors = connected_components(h0.matrix != 0)
         assert [len(idx) for idx in sectors][0] == [len(idx) for idx in sectors][-1] == 1
         largest = max(len(idx) for idx in sectors)
-        monkeypatch.setattr(dynamics, "_STACK_CHUNK_BYTES", 2 * 16 * largest * largest)
+        # the chain is real, so its stacks take 8 bytes per entry
+        monkeypatch.setattr(dynamics, "_STACK_CHUNK_BYTES", 2 * 8 * largest * largest)
         split_calls = []
         split = dynamics._split_norms
         monkeypatch.setattr(dynamics, "_split_norms", lambda *args: split_calls.append(1) or split(*args))
@@ -449,7 +490,8 @@ class TestCommutatorNormTable:
         want = commutator_norm_table(h0, fields, a, b, geom, self.TIMES)
         sectors = connected_components(h0.matrix != 0)
         largest = max(len(idx) for idx in sectors)
-        monkeypatch.setattr(dynamics, "_STACK_CHUNK_BYTES", 3 * 16 * largest * largest)
+        # the chain is real, so its stacks take 8 bytes per entry
+        monkeypatch.setattr(dynamics, "_STACK_CHUNK_BYTES", 3 * 8 * largest * largest)
         read, read_at_stack = [0], []
         spectral = dynamics.hermitian_spectral
 

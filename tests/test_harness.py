@@ -11,7 +11,7 @@ import pytest
 
 import lrchain
 from lrchain import dynamics
-from lrchain.bounds import BoundOutcome, LRParameters, apriori_bound
+from lrchain.bounds import BoundOutcome, LRParameters
 from lrchain.cli import _cmd_constants, build_parser
 from lrchain.cli import main as cli_main
 from lrchain.dynamics import (

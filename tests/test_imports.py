@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import lrchain
 
@@ -23,3 +24,8 @@ def test_every_export_resolves():
     assert [name for name in lrchain.__all__ if not hasattr(lrchain, name)] == []
     assert len(set(lrchain.__all__)) == len(lrchain.__all__)
     exec("from lrchain import *", {})  # raises on a name in `__all__` that the package does not bind
+    # and every public name the package binds, apart from its submodules, is listed
+    public = {
+        name for name, value in vars(lrchain).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public - set(lrchain.__all__)) == []

@@ -277,6 +277,29 @@ class TestHermitianSpectral:
         assert np.array_equal(grid_evals.reshape(4, 6), evals)
         assert np.array_equal(grid_evecs.reshape(4, 6, 6), evecs)
 
+    def test_zero_imaginary_part_takes_real_eigh(self, rng):
+        # a complex-typed matrix with no imaginary part is real symmetric: it
+        # gets real eigenvectors, the bits of the real eigh of its real part
+        m = rng.standard_normal((7, 7))
+        m = (m + m.T).astype(complex)
+        evals, evecs = hermitian_spectral(m)
+        want_evals, want_evecs = np.linalg.eigh(m.real)
+        assert evecs.dtype == np.float64
+        assert np.array_equal(evals, want_evals) and np.array_equal(evecs, want_evecs)
+        assert hermitian_spectral(m.real)[1].dtype == np.float64
+
+    def test_mixed_stack_members_take_their_own_route(self, rng):
+        # real and complex members side by side: each gets the bits it gets
+        # alone, a real member's real eigenvectors held in the complex stack
+        real = rng.standard_normal((6, 6))
+        members = [random_hermitian(rng, 6), (real + real.T).astype(complex), random_hermitian(rng, 6)]
+        evals, evecs = hermitian_spectral(np.array(members))
+        assert evecs.dtype == np.complex128
+        for i, m in enumerate(members):
+            want_evals, want_evecs = hermitian_spectral(m)
+            assert np.array_equal(evals[i], want_evals) and np.array_equal(evecs[i], want_evecs), i
+        assert hermitian_spectral(members[1])[1].dtype == np.float64
+
     def test_stack_rejects_like_single_call(self, rng):
         # the first member over tolerance raises with its own text
         members = [random_hermitian(rng, 5) for _ in range(4)]
