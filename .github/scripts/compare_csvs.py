@@ -9,7 +9,9 @@ each column that moved, the largest absolute and relative difference with
 its row when the column is numeric, and how many rows changed otherwise.
 The JSON comparison leaves out the timings (keys ending in `_ms`) and the
 `model` and `out` paths, which differ between the two runs by
-construction, and names the first differing key path.  Then it
+construction; under a differing report it counts the differing leaves,
+gives the largest absolute and relative difference among the numeric ones
+with their key paths, and lists every differing leaf.  Then it
 runs each of HEAD_TREE's demos/*.py in both trees and warns for each demo
 whose stdout differs.  A differing report or demo output does not fail the
 run, since a change may move documented digits; a child or demo that exits
@@ -85,23 +87,53 @@ def column_differences(base_csv: str, head_csv: str) -> list:
     return lines
 
 
-def first_difference(base, head, path=""):
-    """The key path of the first place where `base` and `head` differ, or None."""
+MISSING = object()  # a key or list entry that only the other document has
+
+
+def leaf_differences(base, head, path=""):
+    """(key path, base value, head value) for each leaf where `base` and `head` differ.
+
+    A key or list entry that only one side has is one leaf, `MISSING` on the
+    other side, and so is a place where the two sides' types differ.
+    """
     if isinstance(base, dict) and isinstance(head, dict):
-        for key in list(base) + [k for k in head if k not in base]:
-            if key not in base or key not in head:
-                return f"{path}.{key}".lstrip(".")
-            found = first_difference(base[key], head[key], f"{path}.{key}")
-            if found is not None:
-                return found
-        return None
+        keys = list(base) + [k for k in head if k not in base]
+        return [d for k in keys for d in leaf_differences(base.get(k, MISSING), head.get(k, MISSING), f"{path}.{k}")]
     if isinstance(base, list) and isinstance(head, list):
-        for i, (b, h) in enumerate(zip(base, head)):
-            found = first_difference(b, h, f"{path}[{i}]")
-            if found is not None:
-                return found
-        return None if len(base) == len(head) else f"{path}[{min(len(base), len(head))}]".lstrip(".")
-    return None if base == head else path.lstrip(".") or "(top level)"
+        pairs = enumerate(itertools.zip_longest(base, head, fillvalue=MISSING))
+        return [d for i, (b, h) in pairs for d in leaf_differences(b, h, f"{path}[{i}]")]
+    return [] if base == head else [(path.lstrip(".") or "(top level)", base, head)]
+
+
+def _number(value):
+    """`value` as a finite float when it is a JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value) if math.isfinite(value) else None
+
+
+def json_differences(base, head) -> list:
+    """One line per leaf that differs between two JSON documents, after a summary line.
+
+    The summary counts the differing leaves and, among those that are finite
+    numbers on both sides, gives the largest absolute and the largest
+    relative difference (against the base value), each with its key path.
+    """
+    moved = leaf_differences(base, head)
+    if not moved:
+        return []
+    shown = [(path, "(missing)" if b is MISSING else b, "(missing)" if h is MISSING else h) for path, b, h in moved]
+    numbers = [(path, _number(b), _number(h)) for path, b, h in moved]
+    numbers = [(path, b, h) for path, b, h in numbers if b is not None and h is not None]
+    summary = f"{len(moved)} leaves differ, {len(numbers)} of them numeric"
+    if numbers:
+        absolute = max((abs(h - b), path) for path, b, h in numbers)
+        relative = max((abs(h - b) / abs(b) if b else math.inf, path) for path, b, h in numbers)
+        summary += (
+            f"; largest absolute difference {absolute[0]:.3e} at {absolute[1]}, "
+            f"largest relative difference {relative[0]:.3e} at {relative[1]}"
+        )
+    return [summary] + [f"{path}: {b} -> {h}" for path, b, h in shown]
 
 
 def main(argv) -> int:
@@ -138,11 +170,13 @@ def main(argv) -> int:
             for out in outs:
                 with open(out + ".json") as fh:
                     docs.append(comparable(json.load(fh)))
-            where = first_difference(*docs)
-            if where is None:
+            lines = json_differences(*docs)
+            if not lines:
                 print(f"{name} seed {seed}: JSON identical to the base tree's apart from timings and paths")
             else:
-                print(f"::warning::{name} seed {seed}: JSON differs from the base tree's at {where}")
+                print(f"::warning::{name} seed {seed}: JSON differs from the base tree's")
+                for line in lines:
+                    print(f"    {line}")
     for demo in sorted(f for f in os.listdir(os.path.join(head, "demos")) if f.endswith(".py")):
         if not os.path.exists(os.path.join(base, "demos", demo)):
             print(f"demos/{demo}: not in the base tree")

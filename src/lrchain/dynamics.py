@@ -139,7 +139,7 @@ def _rotate(evecs: np.ndarray, *blocks: np.ndarray) -> tuple:
 def _block_norms(eigenvalues: np.ndarray, a_rot: np.ndarray, b_rot: np.ndarray, hermitian: bool, t: float):
     """|| [X, B'] || with X = p A' p^dag and p = exp(itw), for a stack of blocks.
 
-    The commutator is formed as `commutator_norm_table` describes.
+    The commutator and the route of its `operator_norm` are as `commutator_norm_table` describes.
     """
     phases = np.exp(1j * t * eigenvalues)
     x = a_rot * phases[..., :, None]
@@ -161,14 +161,10 @@ def _split_norms(
     """gap * || Y || with Y = (V_s p) A' (V_l p)^dag and p = exp(itw), for a stack of blocks.
 
     V_k = S_k^dag V for B's sides S_k, as `commutator_norm_table` describes.
-    The Gram matrix Y Y^dag plus its adjoint, 2 Y Y^dag to rounding, is
-    Hermitian entry for entry, so `operator_norm` takes `eigvalsh`.
     """
     phases = np.exp(1j * t * eigenvalues)[..., None, :]
     y = (v_short * phases) @ a_rot @ (v_long * phases).conj().swapaxes(-1, -2)
-    gram = y @ y.conj().swapaxes(-1, -2)
-    gram += gram.conj().swapaxes(-1, -2)
-    return gap * np.sqrt(0.5 * operator_norm(gram))
+    return gap * operator_norm(y)
 
 
 def two_sides(m: np.ndarray):
@@ -371,7 +367,8 @@ def commutator_norm_table(
       is the one of [X, B'], formed from the product M = X B'.  When both
       local matrices are exactly Hermitian, [X, B'] = M - M^dag in exact
       arithmetic, and i (M - M^dag) is Hermitian entry for entry, so
-      `operator_norm` takes `eigvalsh`; otherwise the commutator is M - B' X.
+      `operator_norm` takes `eigvalsh`; otherwise the commutator is M - B' X,
+      whose norm takes the Gram route of `operator_norm`.
 
     Both selection tests read the input alone.  The t = 0 column does not
     depend on H: when 0 is in `times`, it is formed once in the
@@ -527,8 +524,8 @@ class DecoupledDynamics:
         (the removed coupling acts on the block as a pure phase, which the
         derivative of the phase-free block picks up as the commutator with
         the bare decoupled Hamiltonian), and the mismatch between full and
-        decoupled generators acting on the hybrid-evolved observable, which
-        is again a sum of transition blocks.
+        decoupled generators acting on the hybrid-evolved observable: the
+        decoupling defect, the sum of all transition blocks, evolved once.
         """
         if self.spacing < 2:
             raise ValueError(
@@ -539,10 +536,9 @@ class DecoupledDynamics:
         moved = self.reduced.evolve(commutator(self.bare, self.blocks[(j, k)]), s)
         out = 1j * commutator(commutator(moved, y), b_full).matrix
 
-        for block in self.blocks.values():
-            rotated = self.decoupled.evolve(block, s)
-            inner = commutator(rotated, y)
-            out -= 1j * commutator(commutator(x, inner), b_full).matrix
+        defect = DenseOperator(self.geom.full_support, sum(block.matrix for block in self.blocks.values()))
+        inner = commutator(self.decoupled.evolve(defect, s), y)
+        out -= 1j * commutator(commutator(x, inner), b_full).matrix
         return DenseOperator(self.geom.full_support, out)
 
     def fd_step(self) -> float:

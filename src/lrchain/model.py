@@ -21,9 +21,9 @@ import numpy as np
 
 from .geometry import ChainGeometry, SiteSupport, SupportError
 from .operators import (
-    HERMITICITY_TOL,
     DenseOperator,
     HermiticityError,
+    check_hermitian,
     embed_local,
     hermitian_spectral,
     operator_norm,
@@ -40,16 +40,6 @@ class ModelFormatError(ValueError):
     """A model description file is malformed; the message carries the JSON path."""
 
 
-def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
-    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if defect > HERMITICITY_TOL:
-        raise HermiticityError(f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e}")
-    return m
-
-
 class NNInteraction:
     """Nearest-neighbour bond terms, one Hermitian matrix per bond (x, x+1)."""
 
@@ -58,8 +48,9 @@ class NNInteraction:
         d2 = geom.local_dim ** 2
         terms: dict[int, np.ndarray] = {}
         if uniform_bond is not None:
-            u = _check_hermitian(uniform_bond, "uniform bond term")
-            if u.shape[0] != d2:
+            u = np.asarray(uniform_bond, dtype=complex)
+            check_hermitian(u, "uniform bond term")
+            if u.shape != (d2, d2):
                 raise ValueError(f"bond term must be {d2} x {d2} for local_dim {geom.local_dim}")
             for x in range(-geom.half_length, geom.half_length):
                 terms[x] = u
@@ -67,8 +58,9 @@ class NNInteraction:
             for x, m in bonds.items():
                 if not (-geom.half_length <= x <= geom.half_length - 1):
                     raise SupportError(f"bond ({x}, {x + 1}) outside chain")
-                b = _check_hermitian(m, f"bond term at ({x}, {x + 1})")
-                if b.shape[0] != d2:
+                b = np.asarray(m, dtype=complex)
+                check_hermitian(b, f"bond term at ({x}, {x + 1})")
+                if b.shape != (d2, d2):
                     raise ValueError(f"bond term at ({x}, {x + 1}) must be {d2} x {d2}")
                 terms[x] = b
         self._terms = terms
@@ -138,9 +130,11 @@ class SiteImpurity:
     @classmethod
     def from_hermitian(cls, site: int, matrix) -> SiteImpurity:
         """Spectrally decompose a Hermitian D x D matrix into impurity data."""
-        m = _check_hermitian(matrix, f"impurity matrix at site {site}")
-        evals, u = hermitian_spectral(m)
-        projs = np.stack([np.outer(u[:, j], u[:, j].conj()) for j in range(m.shape[0])])
+        try:
+            evals, u = hermitian_spectral(np.asarray(matrix, dtype=complex))
+        except ValueError as exc:
+            raise type(exc)(f"impurity matrix at site {site}: {exc}") from None
+        projs = np.stack([np.outer(u[:, j], u[:, j].conj()) for j in range(len(evals))])
         return cls(site, evals, projs)
 
     @property

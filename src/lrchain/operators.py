@@ -30,11 +30,11 @@ class HermiticityError(ValueError):
 
 
 def _as_matrix(a) -> np.ndarray:
-    """The square matrix of `a`, or a stack of square matrices of shape (..., n, n): float64 if real-typed, else complex128."""
+    """The matrix of `a`, or a stack of matrices of shape (..., p, q): float64 if real-typed, else complex128."""
     m = a.matrix if isinstance(a, DenseOperator) else np.asarray(a)
     m = m.astype(np.result_type(m, float), copy=False)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of them, got shape {m.shape}")
     return m
 
 
@@ -130,23 +130,25 @@ def embed_local(a: DenseOperator, target: SiteSupport, geom: ChainGeometry) -> D
 
 
 def operator_norm(a):
-    """Largest singular value; a stack of shape (..., n, n) gets an array of shape (...).
+    """Largest singular value; a stack of shape (..., p, q) gets an array of shape (...).
 
-    A matrix, or a whole stack, that equals its adjoint entry for entry is
-    Hermitian, so its singular values are the moduli of its eigenvalues,
-    which `eigvalsh` finds faster than an SVD.  Anything else, a matrix
-    Hermitian only up to rounding included, goes through the SVD.  The route
-    is chosen once per call: a stack whose members are all exactly Hermitian
-    gives each member the bits it would get alone, and any other stack takes
-    the SVD for all its members.
+    The library's one spectral norm, by `eigvalsh` alone.  Input that equals
+    its adjoint entry for entry, a whole stack at once, gets max |lambda|.
+    Any other gets sqrt(max |lambda| / 2) for G = M M^dag + (M M^dag)^dag,
+    Hermitian entry for entry with top eigenvalue 2 || M ||^2; that square
+    must be a normal double, so this route is exact to rounding for norms
+    from about 1e-150 to 1e150.  Each member of a stack gets the bits it
+    would get alone on the route the whole stack takes.
     """
     m = _as_matrix(a)
-    if m.shape[-1] == 0:
+    if 0 in m.shape[-2:]:
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
     if np.array_equal(m, _adjoint(m)):
         out = np.max(np.abs(np.linalg.eigvalsh(m)), axis=-1)
     else:
-        out = np.linalg.norm(m, 2, axis=(-2, -1))
+        gram = m @ _adjoint(m)
+        gram += _adjoint(gram)
+        out = np.sqrt(0.5 * np.max(np.abs(np.linalg.eigvalsh(gram)), axis=-1))
     return float(out) if m.ndim == 2 else out
 
 
@@ -160,13 +162,30 @@ def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     return DenseOperator(a.support, a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
+def check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """max |M - M^dag| of a square matrix, or of each member of a stack of shape (..., n, n).
+
+    The library's one Hermiticity test: the first member over
+    `HERMITICITY_TOL` raises `HermiticityError`, its message naming `what`.
+    """
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"{what} must be square, or a stack of square matrices, got shape {m.shape}")
+    defect = np.max(np.abs(m - _adjoint(m)), axis=(-2, -1), initial=0.0)
+    # written as "not within", so a NaN defect, which compares false, is over
+    over = np.flatnonzero(~(defect <= HERMITICITY_TOL))
+    if over.size:
+        worst = float(np.ravel(defect)[over[0]])
+        raise HermiticityError(f"{what} is not Hermitian: max |M - M^dag| = {worst:.3e} > {HERMITICITY_TOL:.1e}")
+    return defect
+
+
 def hermitian_spectral(a):
     """Eigendecomposition of a Hermitian matrix, or of each member of a stack (..., n, n).
 
-    The input is checked entrywise against its adjoint at `HERMITICITY_TOL`.  A matrix
-    with a nonzero defect is symmetrized before calling the eigensolver, so
-    tiny float asymmetry cannot leak into complex eigenvalues; one that
-    equals its adjoint entry for entry goes in as it is, since
+    The input is tested by `check_hermitian`.  A matrix with a nonzero
+    defect is symmetrized before calling the eigensolver, so tiny float
+    asymmetry cannot leak into complex eigenvalues; one that equals its
+    adjoint entry for entry goes in as it is, since
     0.5 (M + M^dag) would reproduce it bit for bit.  A matrix whose
     imaginary part is then exactly zero, real-typed or not, is real
     symmetric and takes the real `eigh`, with real eigenvectors; any other
@@ -178,18 +197,9 @@ def hermitian_spectral(a):
     raises, with the text a lone matrix would give.
     """
     m = _as_matrix(a)
-    adj = _adjoint(m)
-    if m.shape[-1]:
-        defect = np.max(np.abs(m - adj), axis=(-2, -1))
-    else:
-        defect = np.zeros(m.shape[:-2])
-    over = np.flatnonzero(defect > HERMITICITY_TOL)
-    if over.size:
-        worst = float(np.ravel(defect)[over[0]])
-        raise HermiticityError(f"matrix is not Hermitian: max |M - M^dag| = {worst:.3e} > {HERMITICITY_TOL:.1e}")
-    asymmetric = defect != 0
+    asymmetric = check_hermitian(m, "matrix") != 0
     if np.any(asymmetric):
-        m = np.where(asymmetric[..., None, None], 0.5 * (m + adj), m)
+        m = np.where(asymmetric[..., None, None], 0.5 * (m + _adjoint(m)), m)
     real = ~np.any(m.imag, axis=(-2, -1))
     if np.all(real):
         return np.linalg.eigh(m.real)
@@ -265,22 +275,21 @@ _GRAM_CHUNK_BYTES = 1 << 21
 
 
 def gram_norms(unitaries: list, member_size: int, build) -> np.ndarray:
-    """|| y || = sqrt(lambda_max(y y^dag)) for the matrix y that `build` makes from each entry of `epsilon_unitaries`.
+    """`operator_norm` of the matrix y that `build` makes from each entry of `epsilon_unitaries`.
 
     The one loop over the unitaries, for this module's `commutator_norms`
     (y = [m, U]) and `lrchain.dynamics.split_commutator_norms` (y =
     Q_s^dag U Q_l, for any A that `lrchain.dynamics.two_sides` accepts).
     `build(perms, phases)` maps a chunk of entries' stacked permutations and
     phases to the stack of their y, `member_size` complex entries each;
-    chunks fit in `_GRAM_CHUNK_BYTES`, each with one y y^dag and one `eigvalsh`.
+    chunks fit in `_GRAM_CHUNK_BYTES`, each with one stacked `operator_norm`.
     """
     chunk = max(1, _GRAM_CHUNK_BYTES // (16 * member_size))  # 16 bytes per complex128 entry
     norms = np.empty(len(unitaries))
     for start in range(0, len(unitaries), chunk):
         batch = unitaries[start : start + chunk]
         y = build(np.array([perm for _, perm, _ in batch]), np.array([phases for _, _, phases in batch]))
-        gram = y @ y.conj().swapaxes(-1, -2)
-        norms[start : start + len(batch)] = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+        norms[start : start + len(batch)] = operator_norm(y)
     return norms
 
 

@@ -15,6 +15,7 @@ from lrchain.dynamics import (
     two_sides,
 )
 from lrchain.geometry import ChainGeometry, SiteSupport, SupportError
+from lrchain.harness import FD_REL_TOL
 from lrchain.model import ImpuritySpec, NNInteraction, build_perturbed_hamiltonian
 from lrchain.operators import (
     HERMITICITY_TOL,
@@ -788,6 +789,24 @@ class TestDecoupledDynamics:
             fd = dyn.interpolant_derivative_fd(a, b, j, k, s, t)
             scale = max(operator_norm(exact), 1e-300)
             assert operator_norm(exact - fd) / scale <= 1e-6
+
+    @pytest.mark.parametrize("coupling", [1.0, 5.0, 50.0])
+    def test_derivative_matches_finite_difference_on_six_blocks(self, rng, coupling):
+        # the qutrit impurity of `test_block_pairs_complete` has six
+        # transition blocks, all of which sum to the decoupling defect that
+        # the analytic derivative evolves
+        geom, phi = random_chain(rng, half_length=2, local_dim=3)
+        imp = ImpuritySpec.uniform([0], np.diag([0.0, 1.0, 2.5]), coupling)
+        dyn = DecoupledDynamics(phi, imp, 0, geom)
+        a = DenseOperator.single_site(-2, random_hermitian(rng, 3))
+        b = DenseOperator.single_site(2, random_hermitian(rng, 3))
+        s, t = 0.3, 0.75
+        assert len(dyn.blocks) == 6
+        for (j, k) in dyn.blocks:
+            exact = dyn.interpolant_derivative(a, b, j, k, s, t)
+            fd = dyn.interpolant_derivative_fd(a, b, j, k, s, t)
+            scale = max(operator_norm(exact), 1e-300)
+            assert operator_norm(exact - fd) / scale <= FD_REL_TOL, (j, k)
 
     def test_derivative_richardson_at_strong_coupling(self, rng):
         # at coupling 50 the plain second-order difference hits its truncation

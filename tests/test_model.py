@@ -71,8 +71,12 @@ class TestNNInteraction:
 
     def test_rejects_non_hermitian_or_wrong_shape(self, rng):
         geom = ChainGeometry(2, 2)
-        with pytest.raises(HermiticityError):
+        with pytest.raises(HermiticityError, match="uniform bond term"):
             NNInteraction(geom, uniform_bond=np.triu(np.ones((4, 4)), 1))
+        with pytest.raises(HermiticityError, match=r"bond term at \(0, 1\)"):
+            NNInteraction(geom, bonds={0: np.triu(np.ones((4, 4)), 1)})
+        with pytest.raises(HermiticityError, match="nan"):
+            NNInteraction(geom, uniform_bond=np.where(np.eye(4) == 1, np.nan, 0.0))
         with pytest.raises(ValueError):
             NNInteraction(geom, uniform_bond=np.eye(3))
 
@@ -132,7 +136,7 @@ class TestSiteImpurity:
             SiteImpurity(0, evals, not_orthogonal)
 
     def test_rejects_non_hermitian_input(self):
-        with pytest.raises(HermiticityError):
+        with pytest.raises(HermiticityError, match="impurity matrix at site 0"):
             SiteImpurity.from_hermitian(0, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 

@@ -129,6 +129,13 @@ class TestKronAndEmbed:
             embed_local(a, SiteSupport(1, 2), geom)
 
 
+def gram_route(m):
+    """sqrt(lambda_max(G) / 2) for G = M M^dag + (M M^dag)^dag, formed as `operator_norm` forms it."""
+    gram = m @ m.conj().swapaxes(-1, -2)
+    gram += gram.conj().swapaxes(-1, -2)
+    return np.sqrt(0.5 * np.max(np.abs(np.linalg.eigvalsh(gram)), axis=-1))
+
+
 class TestOperatorNorm:
     def test_against_eigvalsh_oracle(self, rng):
         for dim in (2, 5, 13):
@@ -139,10 +146,10 @@ class TestOperatorNorm:
             for m in (general, h, 1j * h, near):
                 assert abs(operator_norm(m) - norm_oracle(m)) <= 1e-10 * max(1.0, norm_oracle(m))
             # exactly Hermitian input takes eigvalsh; anti-Hermitian input and
-            # input Hermitian only to rounding take the SVD
+            # input Hermitian only to rounding take the Gram route
             assert operator_norm(h) == float(np.max(np.abs(np.linalg.eigvalsh(h))))
-            assert operator_norm(1j * h) == float(np.linalg.norm(1j * h, 2))
-            assert operator_norm(near) == float(np.linalg.norm(near, 2))
+            assert operator_norm(1j * h) == float(gram_route(1j * h))
+            assert operator_norm(near) == float(gram_route(near))
 
     def test_known_values(self):
         assert operator_norm(np.zeros((3, 3))) == 0.0
@@ -158,7 +165,8 @@ class TestOperatorNorm:
     def test_stack_equals_single_calls(self, rng):
         # the route is chosen once per call: a stack of exactly Hermitian
         # members takes eigvalsh and gives each member the bits it would get
-        # alone; a stack with any other member takes the SVD for all of them
+        # alone; a stack with any other member takes the Gram route for all
+        # of them
         dim = 7
         h = random_hermitian(rng, dim)
         near = h.copy()
@@ -171,18 +179,41 @@ class TestOperatorNorm:
         stack = np.array(members)
         got = operator_norm(stack)
         assert got.shape == (len(members),)
-        assert np.array_equal(got, np.linalg.norm(stack, 2, axis=(-2, -1)))
+        assert np.array_equal(got, gram_route(stack))
         for norm, m in zip(got, members):
             assert abs(norm - operator_norm(m)) <= 1e-12 * operator_norm(m)
         grid = operator_norm(stack.reshape(2, 3, dim, dim))
         assert grid.shape == (2, 3)
         assert np.array_equal(grid.ravel(), got)
-        # a stack of members that each take the SVD alone gets their bits
+        # a stack of members that each take the Gram route alone gets their bits
         for same in ([1j * h, -1j * h], [members[2], near]):
             assert [float(x) for x in operator_norm(np.array(same))] == [operator_norm(m) for m in same]
         assert operator_norm(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
-        with pytest.raises(ValueError, match="square"):
-            operator_norm(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="matrix"):
+            operator_norm(np.zeros(4))
+
+    def test_rectangular_input(self, rng):
+        # a p x q matrix, p < q or p > q, and a stack of them take the Gram
+        # route; each member of the stack gets the bits it gets alone
+        for shape in ((3, 5), (5, 3)):
+            m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = np.linalg.norm(m, 2)
+            assert abs(operator_norm(m) - want) <= 1e-12 * want
+        stack = rng.normal(size=(4, 3, 5)) + 1j * rng.normal(size=(4, 3, 5))
+        got = operator_norm(stack)
+        assert got.shape == (4,)
+        want = np.linalg.norm(stack, 2, axis=(-2, -1))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        assert [float(x) for x in got] == [operator_norm(m) for m in stack]
+        assert operator_norm(np.zeros((3, 0))) == 0.0
+        assert operator_norm(np.zeros((2, 0, 4))).tolist() == [0.0, 0.0]
+
+    def test_range_of_the_gram_route(self, rng):
+        # the square of the norm stays a normal double from 1e-150 to 1e150
+        m = random_complex(rng, 6)
+        for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+            want = np.linalg.norm(scale * m, 2)
+            assert abs(operator_norm(scale * m) - want) <= 1e-12 * want, scale
 
 
 class TestCommutator:
@@ -235,6 +266,10 @@ class TestHermitianSpectral:
         m = random_complex(rng, 4)
         with pytest.raises(HermiticityError):
             hermitian_spectral(m)
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="square"):
+            hermitian_spectral(np.zeros((2, 3, 4)))
 
     def test_symmetrizes_tiny_defects(self, rng):
         h = random_hermitian(rng, 4)
