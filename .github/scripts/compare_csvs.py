@@ -11,7 +11,9 @@ The JSON comparison leaves out the timings (keys ending in `_ms`) and the
 `model` and `out` paths, which differ between the two runs by
 construction; under a differing report it counts the differing leaves,
 gives the largest absolute and relative difference among the numeric ones
-with their key paths, and lists every differing leaf.  Then it
+with their key paths, gives the largest relative move of the numbers
+inside the string leaves that differ only in those numbers, such as a
+check's detail text, and lists every differing leaf.  Then it
 runs each of HEAD_TREE's demos/*.py in both trees and warns for each demo
 whose stdout differs.  A differing report or demo output does not fail the
 run, since a change may move documented digits; a child or demo that exits
@@ -26,6 +28,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -112,12 +115,30 @@ def _number(value):
     return float(value) if math.isfinite(value) else None
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def embedded_moves(base, head):
+    """The relative moves, against the base value, of the numbers that differ inside two strings.
+
+    None unless both are strings that agree once every number in them is
+    masked, so a changed word is never read as a moved number.
+    """
+    if not (isinstance(base, str) and isinstance(head, str)) or NUMBER.sub("#", base) != NUMBER.sub("#", head):
+        return None
+    pairs = [(float(b), float(h)) for b, h in zip(NUMBER.findall(base), NUMBER.findall(head))]
+    return [abs(h - b) / abs(b) if b else math.inf for b, h in pairs if b != h]
+
+
 def json_differences(base, head) -> list:
     """One line per leaf that differs between two JSON documents, after a summary line.
 
     The summary counts the differing leaves and, among those that are finite
     numbers on both sides, gives the largest absolute and the largest
     relative difference (against the base value), each with its key path.
+    It then counts the string leaves whose only change is in the numbers
+    inside them, and gives the largest relative move of such a number, by
+    `embedded_moves`, with its key path.
     """
     moved = leaf_differences(base, head)
     if not moved:
@@ -132,6 +153,13 @@ def json_differences(base, head) -> list:
         summary += (
             f"; largest absolute difference {absolute[0]:.3e} at {absolute[1]}, "
             f"largest relative difference {relative[0]:.3e} at {relative[1]}"
+        )
+    texts = [(path, embedded_moves(b, h)) for path, b, h in moved]
+    texts = [(max(moves, default=0.0), path) for path, moves in texts if moves is not None]
+    if texts:
+        summary += (
+            f"; {len(texts)} string leaves differ only in embedded numbers, "
+            f"largest relative move {max(texts)[0]:.3e} at {max(texts)[1]}"
         )
     return [summary] + [f"{path}: {b} -> {h}" for path, b, h in shown]
 

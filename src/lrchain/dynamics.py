@@ -19,7 +19,7 @@ from itertools import islice, permutations
 
 import numpy as np
 
-from .geometry import ChainGeometry, SupportError
+from .geometry import ChainGeometry, SiteSupport, SupportError
 from .model import (
     ImpuritySpec,
     NNInteraction,
@@ -30,8 +30,8 @@ from .model import (
     perturbation_operator,
 )
 from .operators import (
-    HERMITICITY_TOL, DenseOperator, commutator, commutator_norms, embed_local, gram_norms, hermitian_spectral, operator_norm,
-    site_view, split_index,
+    HERMITICITY_TOL, DenseOperator, commutator, commutator_norms, embed_local, gram_chunk, hermitian_spectral,
+    operator_norm, site_view, split_index, weyl_factor_dims,
 )
 
 RECONSTRUCTION_TOL = 1e-10
@@ -285,11 +285,11 @@ class EvolutionContext:
         return DenseOperator(full.support, out)
 
 
-def projection_commutator_norm(ctx: EvolutionContext, a: DenseOperator, t: float, unitaries: list) -> float:
-    """max || [tau_t(A), U] || over the entries `unitaries` of `epsilon_unitaries`; 0 when there are none.
+def projection_commutator_norm(ctx: EvolutionContext, a: DenseOperator, t: float, keep: SiteSupport, unitaries: list) -> float:
+    """max || [tau_t(A), U] || over the entries `unitaries` of `epsilon_unitaries` on `keep`; 0 when there are none.
 
     The one route choice of the projection check: a local A that
-    `two_sides` accepts takes `split_commutator_norms`, on Gram matrices of
+    `two_sides` accepts takes `split_commutator_norms`, on matrices of
     half the size or less, and any other A takes
     `lrchain.operators.commutator_norms` on ctx.evolve(a, t).
     """
@@ -297,30 +297,58 @@ def projection_commutator_norm(ctx: EvolutionContext, a: DenseOperator, t: float
     if sides is None:
         norms = commutator_norms(ctx.evolve(a, t).matrix, unitaries)
     else:
-        norms = split_commutator_norms(ctx, a, t, unitaries, sides)
+        norms = split_commutator_norms(ctx, a, t, keep, unitaries, sides)
     return float(np.max(norms, initial=0.0))
 
 
-def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, unitaries: list, sides) -> np.ndarray:
-    """|| [tau_t(A), U] || for each entry of `epsilon_unitaries`, for a local A whose `two_sides` are `sides`.
+def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, keep: SiteSupport, unitaries: list, sides) -> np.ndarray:
+    """|| [tau_t(A), U] || for each entry of `epsilon_unitaries` on `keep`, for a local A whose `two_sides` are `sides`.
 
     By `two_sides` for the unitary Y = exp(-itH) U exp(itH), the norm is
-    (a_2 - a_1) || Q_s^dag U Q_l || with Q_k = exp(itH) S_k: per unitary, a
-    Gram matrix of size min(k_1, k_2) instead of n, from `gram_norms`.
+    (a_2 - a_1) || Q_s^dag U Q_l || with Q_k = exp(itH) S_k, a matrix of
+    size k_s x k_l instead of n x n.  U = W_l (x) I_keep (x) W_r with
+    W = X^p Z^q maps the state with digits (a, c, b), left of keep, on it
+    and right of it, to w_l^(q_l a) w_r^(q_r b) times the state
+    (a + p_l, c, b + p_r), digits taken mod d_l and d_r and w = exp(2 pi i / d)
+    of each factor.  So for one shift pair (p_l, p_r) the clock exponents
+    enter only as a 2D DFT,
+
+        Q_s^dag U Q_l = sum_(a, b) w_l^(q_l a) w_r^(q_r b) C[a, b],
+
+    C[a, b] the adjoint of the rows of Q_s at digits (a + p_l, ., b + p_r)
+    times the rows of Q_l at (a, ., b): per shift, d_l d_r products of size
+    k_s x d_k x k_l, then one GEMM of the listed members' DFT rows with C as
+    a (d_l d_r) x (k_s k_l) matrix per chunk of members, a chunk's stack of
+    Y fitting in `_GRAM_CHUNK_BYTES`.  The factor dimensions come from
+    `keep`, since the listed labels omit the negated shifts.  The DFT is a
+    GEMM and not `np.fft`: only the listed exponents are needed, and a
+    transform along the strided clock axes costs more than the GEMM saves.
     """
     n = ctx.geom.total_dim
+    dl, dk, dr = weyl_factor_dims(keep, ctx.geom)
     propagator = np.zeros((n, n), dtype=complex)
     for idx, (w, v) in zip(ctx.spectral_blocks, ctx.spectra):
         propagator[np.ix_(idx, idx)] = (v * np.exp(1j * t * w)) @ v.conj().T
     short, long = _group_sides(sides[1:], a.support, ctx.geom, [np.arange(n)])[0]
-    q_short, q_long = ((propagator[:, rows] * coefs).sum(axis=1) for rows, coefs in (short, long))
-    q_short_dag = q_short.conj().T
+    # Q_k as (left digit, right digit, keep digit, column)
+    q_short, q_long = (
+        (propagator[:, rows] * coefs).sum(axis=1).reshape(dl, dk, dr, -1).transpose(0, 2, 1, 3) for rows, coefs in (short, long)
+    )
     del propagator
-
-    def build(perms, phases):
-        return q_short_dag @ (q_long[perms] * phases[..., None])
-
-    return (sides[0][1] - sides[0][0]) * gram_norms(unitaries, n * q_long.shape[1], build)
+    shape = q_short.shape[-1], q_long.shape[-1]
+    chunk = gram_chunk(shape[0] * shape[1])
+    shifts = {}
+    for i, (label, _, _) in enumerate(unitaries):
+        shifts.setdefault(label[::2], []).append(i)
+    norms = np.empty(len(unitaries))
+    for (pl, pr), members in shifts.items():
+        c = (np.roll(q_short, (-pl, -pr), axis=(0, 1)).conj().swapaxes(-1, -2) @ q_long).reshape(dl * dr, -1)
+        # each member's DFT row, w_l^(q_l a) w_r^(q_r b), is its phase at the state (a + p_l, 0, b + p_r)
+        dft = np.roll([unitaries[i][2].reshape(dl, dk, dr)[:, 0] for i in members], (-pl, -pr), axis=(1, 2))
+        for start in range(0, len(members), chunk):
+            y = dft[start : start + chunk].reshape(-1, dl * dr) @ c
+            norms[members[start : start + chunk]] = operator_norm(y.reshape(-1, *shape))
+    return (sides[0][1] - sides[0][0]) * norms
 
 
 # bytes of one stack of the largest group over a chunk of Hamiltonians in
@@ -499,26 +527,27 @@ class DecoupledDynamics:
                 f"got support {b.support}"
             )
 
-    def _interpolant_factors(self, a: DenseOperator, b: DenseOperator, j: int, k: int, s: float, t: float) -> tuple:
-        """(X(s), Y(s), B on the full chain): block (j, k) evolved to s and A hybrid-evolved, as `interpolant` defines them."""
+    def _hybrid(self, a: DenseOperator, b: DenseOperator, s: float, t: float) -> tuple:
+        """(Y(s), B on the full chain): A hybrid-evolved as `interpolant` defines it, and B, which every block shares."""
         self._check_interpolant_supports(a, b)
-        x = self.reduced.evolve(self.blocks[(j, k)], s)
         y = self.decoupled.evolve(self.full.evolve(a, t - s), s)
-        return x, y, embed_local(b, self.geom.full_support, self.geom)
+        return y, embed_local(b, self.geom.full_support, self.geom)
 
-    def interpolant(self, a: DenseOperator, b: DenseOperator, j: int, k: int, s: float, t: float) -> DenseOperator:
-        """Double commutator [[ block evolved to s, hybrid-evolved A ], B ].
+    def interpolant(self, a: DenseOperator, b: DenseOperator, s: float, t: float) -> dict:
+        """Double commutator [[ block evolved to s, hybrid-evolved A ], B ] for each transition block, keyed like `blocks`.
 
         The hybrid evolution runs A for time t - s under the full chain, then
-        for time s under the decoupled chain.  At s = t it vanishes
-        identically; at s = 0 its norm controls how much the transition block
-        (j, k) contributes to [full evolution of A, B].
+        for time s under the decoupled chain, once for all blocks.  At s = t
+        it vanishes identically; at s = 0 its norm controls how much the
+        transition block (j, k) contributes to [full evolution of A, B].
         """
-        x, y, b_full = self._interpolant_factors(a, b, j, k, s, t)
-        return commutator(commutator(x, y), b_full)
+        y, b_full = self._hybrid(a, b, s, t)
+        return {
+            pair: commutator(commutator(self.reduced.evolve(block, s), y), b_full) for pair, block in self.blocks.items()
+        }
 
-    def interpolant_derivative(self, a: DenseOperator, b: DenseOperator, j: int, k: int, s: float, t: float) -> DenseOperator:
-        """Analytic d/ds of `interpolant`, valid when impurities are >= 2 apart.
+    def interpolant_derivative(self, a: DenseOperator, b: DenseOperator, s: float, t: float) -> dict:
+        """Analytic d/ds of `interpolant` for each transition block, keyed like `blocks`; valid when impurities are >= 2 apart.
 
         Two contributions: the block's own motion under the reduced generator
         (the removed coupling acts on the block as a pure phase, which the
@@ -526,20 +555,24 @@ class DecoupledDynamics:
         the bare decoupled Hamiltonian), and the mismatch between full and
         decoupled generators acting on the hybrid-evolved observable: the
         decoupling defect, the sum of all transition blocks, evolved once.
+        The hybrid-evolved A and the defect's commutator with it are shared
+        by every block; only the block evolutions run per block.
         """
         if self.spacing < 2:
             raise ValueError(
                 f"analytic interpolant derivative needs impurity spacing >= 2, got {self.spacing}"
             )
-        x, y, b_full = self._interpolant_factors(a, b, j, k, s, t)
-
-        moved = self.reduced.evolve(commutator(self.bare, self.blocks[(j, k)]), s)
-        out = 1j * commutator(commutator(moved, y), b_full).matrix
-
+        y, b_full = self._hybrid(a, b, s, t)
         defect = DenseOperator(self.geom.full_support, sum(block.matrix for block in self.blocks.values()))
         inner = commutator(self.decoupled.evolve(defect, s), y)
-        out -= 1j * commutator(commutator(x, inner), b_full).matrix
-        return DenseOperator(self.geom.full_support, out)
+        out = {}
+        for pair, block in self.blocks.items():
+            x = self.reduced.evolve(block, s)
+            moved = self.reduced.evolve(commutator(self.bare, block), s)
+            m = 1j * commutator(commutator(moved, y), b_full).matrix
+            m -= 1j * commutator(commutator(x, inner), b_full).matrix
+            out[pair] = DenseOperator(self.geom.full_support, m)
+        return out
 
     def fd_step(self) -> float:
         """Central-difference step scaled to the fastest dynamics of the three contexts.
@@ -554,8 +587,8 @@ class DecoupledDynamics:
         spread = max(float(np.ptp(ctx.eigenvalues)) for ctx in (self.full, self.decoupled, self.reduced))
         return FD_PHASE_STEP / max(spread, 1.0)
 
-    def interpolant_derivative_fd(self, a, b, j, k, s, t, step: float | None = None) -> DenseOperator:
-        """Central difference (f(s+h) - f(s-h)) / 2h of `interpolant` in s, for cross-checking.
+    def interpolant_derivative_fd(self, a, b, s, t, step: float | None = None) -> dict:
+        """Central difference (f(s+h) - f(s-h)) / 2h of `interpolant` in s for each transition block, for cross-checking.
 
         f = [[X, Y], B] is bilinear in the evolved block X(s) and the
         hybrid-evolved observable Y(s), so exactly
@@ -568,7 +601,8 @@ class DecoupledDynamics:
         operators, so its rounding error does not grow as the step shrinks.
         What remains is the truncation of the central difference and the
         rounding floor of the eigendecompositions, which scales with the norm
-        of the Hamiltonians.  `step` defaults to `fd_step()`.
+        of the Hamiltonians.  The parts of Y are shared by every block.
+        `step` defaults to `fd_step()`.
         """
         if step is None:
             step = self.fd_step()
@@ -581,10 +615,6 @@ class DecoupledDynamics:
         def sin_weight(w):
             return 2j * np.sin(step * w)
 
-        # X(s +- h): the block under the reduced evolution
-        x_diff = self.reduced.evolve(self.blocks[(j, k)], s, sin_weight).matrix
-        x_mean = self.reduced.evolve(self.blocks[(j, k)], s, cos_weight).matrix
-
         # Y(s +- h) = D_s D_{+-h} F_{-+h} Z with Z = F_{t-s} A, D / F the decoupled /
         # full evolutions.  Splitting D_{+-h} = cD +- sD/2 and F_{-+h} = cF -+ sF/2
         # into the parts weighted by cos(hw) and 2i sin(hw) gives
@@ -595,7 +625,13 @@ class DecoupledDynamics:
         y_diff -= self.decoupled.evolve(z_sin, s, cos_weight).matrix
         y_mean = self.decoupled.evolve(z_cos, s, cos_weight).matrix
         y_mean -= 0.25 * self.decoupled.evolve(z_sin, s, sin_weight).matrix
-
-        inner = x_diff @ y_mean - y_mean @ x_diff + x_mean @ y_diff - y_diff @ x_mean
         b_full = embed_local(b, geom.full_support, geom).matrix
-        return DenseOperator(geom.full_support, (inner @ b_full - b_full @ inner) / (2.0 * step))
+
+        out = {}
+        for pair, block in self.blocks.items():
+            # X(s +- h): the block under the reduced evolution
+            x_diff = self.reduced.evolve(block, s, sin_weight).matrix
+            x_mean = self.reduced.evolve(block, s, cos_weight).matrix
+            inner = x_diff @ y_mean - y_mean @ x_diff + x_mean @ y_diff - y_diff @ x_mean
+            out[pair] = DenseOperator(geom.full_support, (inner @ b_full - b_full @ inner) / (2.0 * step))
+        return out

@@ -608,7 +608,7 @@ def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
         return res, "decoupled evolution = phase * reduced evolution on each block"
 
     def check_endpoint():
-        res = max(operator_norm(dd.interpolant(a, b, j, k, t, t)) for j, k in dd.blocks)
+        res = max(operator_norm(f) for f in dd.interpolant(a, b, t, t).values())
         return res, "interpolant vanishes at s = t"
 
     # (step, FD residual, Richardson residual) from one analytic derivative and the step-h and step-h/2
@@ -618,10 +618,10 @@ def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
         s = 0.4 * t
         step = dd.fd_step()
         fd_worst = richardson_worst = 0.0
-        for j, k in dd.blocks:
-            analytic = dd.interpolant_derivative(a, b, j, k, s, t)
-            fd1 = dd.interpolant_derivative_fd(a, b, j, k, s, t, step=step)
-            fd2 = dd.interpolant_derivative_fd(a, b, j, k, s, t, step=0.5 * step)
+        analytics = dd.interpolant_derivative(a, b, s, t)
+        fds = dd.interpolant_derivative_fd(a, b, s, t, step=step), dd.interpolant_derivative_fd(a, b, s, t, step=0.5 * step)
+        for pair, analytic in analytics.items():
+            fd1, fd2 = (fd[pair] for fd in fds)
             denom = max(operator_norm(analytic.matrix), 1e-300)
             fd_worst = max(fd_worst, operator_norm((analytic - fd1).matrix) / denom)
             extrap = (4.0 * fd2.matrix - fd1.matrix) / 3.0
@@ -650,7 +650,7 @@ def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
         unitaries = epsilon_unitaries(keep, geom)
         projected = conditional_expectation(evolved, keep, geom)
         lhs = operator_norm((evolved - projected).matrix)
-        rhs = projection_commutator_norm(dd.full, a, t, unitaries)
+        rhs = projection_commutator_norm(dd.full, a, t, keep, unitaries)
         return max(lhs - rhs, 0.0), (
             f"||(id - E)(evolved A)|| = {fmt_float(lhs)} vs eps * norm = "
             f"{fmt_float(rhs)} on keep = {keep}; {len(unitaries)} unitaries"

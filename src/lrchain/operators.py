@@ -239,6 +239,13 @@ def _weyl_monomials(dim: int):
             yield p, q, perm, np.exp(2j * np.pi * ((q * perm) % dim) / dim)
 
 
+def weyl_factor_dims(keep: SiteSupport, geom: ChainGeometry) -> tuple:
+    """(d_l, d_k, d_r): the dimensions of the sites left of `keep`, of `keep` and of the sites right of it."""
+    geom.check_support(keep)
+    d = geom.local_dim
+    return d ** (keep.lo - geom.full_support.lo), d**keep.n_sites, d ** (geom.full_support.hi - keep.hi)
+
+
 def epsilon_unitaries(keep: SiteSupport, geom: ChainGeometry) -> list:
     """The unitaries U = W_l (x) I_keep (x) W_r that `local_commutator_epsilon` evaluates.
 
@@ -248,11 +255,7 @@ def epsilon_unitaries(keep: SiteSupport, geom: ChainGeometry) -> list:
     left out, and of each pair (p_l, q_l, p_r, q_r) and its negation modulo
     the factor dimensions only the first in tuple order is listed.
     """
-    geom.check_support(keep)
-    d = geom.local_dim
-    dl = d ** (keep.lo - geom.full_support.lo)
-    dk = d ** keep.n_sites
-    dr = d ** (geom.full_support.hi - keep.hi)
+    dl, dk, dr = weyl_factor_dims(keep, geom)
     right = list(_weyl_monomials(dr))
     out = []
     for pl, ql, perm_l, ph_l in _weyl_monomials(dl):
@@ -268,44 +271,34 @@ def epsilon_unitaries(keep: SiteSupport, geom: ChainGeometry) -> list:
     return out
 
 
-# bytes of the largest array that one chunk of `gram_norms` builds: 8
-# commutators at dimension 128, so the stacks add little to the peak
-# resident memory
+# bytes of the largest stack that one chunk of `commutator_norms` or
+# `lrchain.dynamics.split_commutator_norms` builds: 8 commutators at
+# dimension 128, or 32 split matrices of 64 x 64, so the stacks add little
+# to the peak resident memory
 _GRAM_CHUNK_BYTES = 1 << 21
 
 
-def gram_norms(unitaries: list, member_size: int, build) -> np.ndarray:
-    """`operator_norm` of the matrix y that `build` makes from each entry of `epsilon_unitaries`.
-
-    The one loop over the unitaries, for this module's `commutator_norms`
-    (y = [m, U]) and `lrchain.dynamics.split_commutator_norms` (y =
-    Q_s^dag U Q_l, for any A that `lrchain.dynamics.two_sides` accepts).
-    `build(perms, phases)` maps a chunk of entries' stacked permutations and
-    phases to the stack of their y, `member_size` complex entries each;
-    chunks fit in `_GRAM_CHUNK_BYTES`, each with one stacked `operator_norm`.
-    """
-    chunk = max(1, _GRAM_CHUNK_BYTES // (16 * member_size))  # 16 bytes per complex128 entry
-    norms = np.empty(len(unitaries))
-    for start in range(0, len(unitaries), chunk):
-        batch = unitaries[start : start + chunk]
-        y = build(np.array([perm for _, perm, _ in batch]), np.array([phases for _, _, phases in batch]))
-        norms[start : start + len(batch)] = operator_norm(y)
-    return norms
+def gram_chunk(member_size: int) -> int:
+    """How many matrices of `member_size` complex entries one chunk stacks: as many as fit in `_GRAM_CHUNK_BYTES`, at least one."""
+    return max(1, _GRAM_CHUNK_BYTES // (16 * member_size))  # 16 bytes per complex128 entry
 
 
 def commutator_norms(m: np.ndarray, unitaries: list) -> np.ndarray:
-    """||[m, U]|| = ||m - U m U^dag|| for each entry of `epsilon_unitaries`, from `gram_norms`.
+    """||[m, U]|| = ||m - U m U^dag|| for each entry of `epsilon_unitaries`.
 
     U m U^dag is a gather of m on rows and columns times the outer product
-    of the phases, built for a whole chunk of unitaries at once.
+    of the phases, built for a chunk of unitaries at once, with one stacked
+    `operator_norm` per chunk.
     """
-
-    def build(perms, phases):
+    chunk = gram_chunk(m.size)
+    norms = np.empty(len(unitaries))
+    for start in range(0, len(unitaries), chunk):
+        batch = unitaries[start : start + chunk]
+        perms, phases = (np.array([entry[i] for entry in batch]) for i in (1, 2))
         c = m[perms[:, :, None], perms[:, None, :]]
         c *= phases[:, :, None] * phases.conj()[:, None, :]
-        return np.subtract(m, c, out=c)
-
-    return gram_norms(unitaries, m.size, build)
+        norms[start : start + len(batch)] = operator_norm(np.subtract(m, c, out=c))
+    return norms
 
 
 def local_commutator_epsilon(a: DenseOperator, keep: SiteSupport, geom: ChainGeometry) -> float:

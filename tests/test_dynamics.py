@@ -645,7 +645,7 @@ class TestSplitCommutatorNorms:
             a, keep = DenseOperator.single_site(-3, PAULI["sz"]), SiteSupport(-2, -1)
         unitaries = epsilon_unitaries(keep, ctx.geom)
         evolved = ctx.evolve(a, t).matrix
-        split = split_commutator_norms(ctx, a, t, unitaries, two_sides(a.matrix))
+        split = split_commutator_norms(ctx, a, t, keep, unitaries, two_sides(a.matrix))
         gram = commutator_norms(evolved, unitaries)
         top = float(gram.max())
         assert top > 1e-3
@@ -654,19 +654,21 @@ class TestSplitCommutatorNorms:
         assert abs(split.max() - top) <= 1e-12 * top
 
     def test_chunks_fit_the_gram_budget(self, rng, monkeypatch):
-        # a budget of three gathered stacks gives chunks of three unitaries,
-        # and the norms do not depend on the chunking
+        # a budget of three 64 x 64 stacks splits each shift's members into
+        # chunks of three, the last one of a shift possibly shorter, and the
+        # norms do not depend on the chunking
         ctx = identities_l3_context(5)
-        a = DenseOperator.single_site(-3, PAULI["sz"])
-        unitaries = epsilon_unitaries(SiteSupport(-3, -1), ctx.geom)
+        a, keep = DenseOperator.single_site(-3, PAULI["sz"]), SiteSupport(-3, -1)
+        unitaries = epsilon_unitaries(keep, ctx.geom)
         sides = two_sides(a.matrix)
-        want = split_commutator_norms(ctx, a, 0.5, unitaries, sides)
-        monkeypatch.setattr(operators, "_GRAM_CHUNK_BYTES", 3 * 16 * 128 * 64)
+        want = split_commutator_norms(ctx, a, 0.5, keep, unitaries, sides)
+        monkeypatch.setattr(operators, "_GRAM_CHUNK_BYTES", 3 * 16 * 64 * 64)
         stacks = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(m.shape) or eigvalsh(m))
-        got = split_commutator_norms(ctx, a, 0.5, unitaries, sides)
-        assert {shape[0] for shape in stacks[:-1]} == {3} and stacks[-1][0] <= 3
+        got = split_commutator_norms(ctx, a, 0.5, keep, unitaries, sides)
+        assert {shape[0] for shape in stacks} == {1, 2, 3}
+        assert sum(shape[0] for shape in stacks) == len(unitaries)
         assert all(shape[1:] == (64, 64) for shape in stacks)
         assert np.allclose(got, want, rtol=0, atol=1e-13)
 
@@ -678,7 +680,7 @@ class TestSplitCommutatorNorms:
         ctx = EvolutionContext(build_perturbed_hamiltonian(phi, ImpuritySpec(), geom), geom)
         a = DenseOperator.single_site(0, np.diag([1.0, 0.0, -1.0]))
         unitaries = epsilon_unitaries(SiteSupport(-1, 1), ctx.geom)
-        got = projection_commutator_norm(ctx, a, 0.5, unitaries)
+        got = projection_commutator_norm(ctx, a, 0.5, SiteSupport(-1, 1), unitaries)
         assert got == np.max(commutator_norms(ctx.evolve(a, 0.5).matrix, unitaries))
         assert got > 1e-3
 
@@ -708,9 +710,9 @@ class TestSplitCommutatorNorms:
             monkeypatch.setattr(dynamics, name, spy)
 
         unitaries = epsilon_unitaries(keep, geom)
-        got = projection_commutator_norm(ctx, a, 0.5, unitaries)
+        got = projection_commutator_norm(ctx, a, 0.5, keep, unitaries)
         assert routes == ["split_commutator_norms"]
-        split = split_commutator_norms(ctx, a, 0.5, unitaries, two_sides(a.matrix))
+        split = split_commutator_norms(ctx, a, 0.5, keep, unitaries, two_sides(a.matrix))
         gram = commutator_norms(ctx.evolve(a, 0.5).matrix, unitaries)
         top = float(gram.max())
         assert top > 1e-3 and got == split.max()
@@ -768,14 +770,14 @@ class TestDecoupledDynamics:
         a = DenseOperator.single_site(-3, random_hermitian(rng, 2))
         b = DenseOperator.single_site(3, random_hermitian(rng, 2))
         t = 1.0
-        for (j, k) in dyn.blocks:
-            assert operator_norm(dyn.interpolant(a, b, j, k, t, t)) <= 1e-9
+        for f in dyn.interpolant(a, b, t, t).values():
+            assert operator_norm(f) <= 1e-9
 
     def test_interpolant_at_zero_bounds_block_contribution(self, rng):
         geom, phi, imp, dyn = decoupling_instance(rng, 1.0)
         a = DenseOperator.single_site(-3, random_hermitian(rng, 2))
         b = DenseOperator.single_site(3, random_hermitian(rng, 2))
-        val = operator_norm(dyn.interpolant(a, b, 0, 1, 0.0, 0.8))
+        val = operator_norm(dyn.interpolant(a, b, 0.0, 0.8)[(0, 1)])
         assert np.isfinite(val) and val >= 0.0
 
     @pytest.mark.parametrize("coupling", [1.0, 5.0])
@@ -784,11 +786,10 @@ class TestDecoupledDynamics:
         a = DenseOperator.single_site(-3, random_hermitian(rng, 2))
         b = DenseOperator.single_site(3, random_hermitian(rng, 2))
         s, t = 0.3, 0.75
-        for (j, k) in dyn.blocks:
-            exact = dyn.interpolant_derivative(a, b, j, k, s, t)
-            fd = dyn.interpolant_derivative_fd(a, b, j, k, s, t)
+        fds = dyn.interpolant_derivative_fd(a, b, s, t)
+        for pair, exact in dyn.interpolant_derivative(a, b, s, t).items():
             scale = max(operator_norm(exact), 1e-300)
-            assert operator_norm(exact - fd) / scale <= 1e-6
+            assert operator_norm(exact - fds[pair]) / scale <= 1e-6
 
     @pytest.mark.parametrize("coupling", [1.0, 5.0, 50.0])
     def test_derivative_matches_finite_difference_on_six_blocks(self, rng, coupling):
@@ -802,11 +803,10 @@ class TestDecoupledDynamics:
         b = DenseOperator.single_site(2, random_hermitian(rng, 3))
         s, t = 0.3, 0.75
         assert len(dyn.blocks) == 6
-        for (j, k) in dyn.blocks:
-            exact = dyn.interpolant_derivative(a, b, j, k, s, t)
-            fd = dyn.interpolant_derivative_fd(a, b, j, k, s, t)
+        fds = dyn.interpolant_derivative_fd(a, b, s, t)
+        for pair, exact in dyn.interpolant_derivative(a, b, s, t).items():
             scale = max(operator_norm(exact), 1e-300)
-            assert operator_norm(exact - fd) / scale <= FD_REL_TOL, (j, k)
+            assert operator_norm(exact - fds[pair]) / scale <= FD_REL_TOL, pair
 
     def test_derivative_richardson_at_strong_coupling(self, rng):
         # at coupling 50 the plain second-order difference hits its truncation
@@ -815,11 +815,11 @@ class TestDecoupledDynamics:
         a = DenseOperator.single_site(-3, random_hermitian(rng, 2))
         b = DenseOperator.single_site(3, random_hermitian(rng, 2))
         s, t = 0.2, 0.5
-        j, k = 0, 1
-        exact = dyn.interpolant_derivative(a, b, j, k, s, t)
+        pair = (0, 1)
+        exact = dyn.interpolant_derivative(a, b, s, t)[pair]
         h = 1e-4
-        coarse = dyn.interpolant_derivative_fd(a, b, j, k, s, t, step=h)
-        fine = dyn.interpolant_derivative_fd(a, b, j, k, s, t, step=h / 2)
+        coarse = dyn.interpolant_derivative_fd(a, b, s, t, step=h)[pair]
+        fine = dyn.interpolant_derivative_fd(a, b, s, t, step=h / 2)[pair]
         richardson = (4.0 * fine.matrix - coarse.matrix) / 3.0
         scale = max(operator_norm(exact), 1e-300)
         assert operator_norm(exact.matrix - richardson) / scale <= 1e-5
@@ -832,10 +832,9 @@ class TestDecoupledDynamics:
         a = DenseOperator.single_site(-3, random_hermitian(rng, 2))
         b = DenseOperator.single_site(3, random_hermitian(rng, 2))
         s, t, h = 0.3, 0.75, 1e-2
-        for (j, k) in dyn.blocks:
-            fd = dyn.interpolant_derivative_fd(a, b, j, k, s, t, step=h)
-            hi = dyn.interpolant(a, b, j, k, s + h, t).matrix
-            lo = dyn.interpolant(a, b, j, k, s - h, t).matrix
+        his, los = dyn.interpolant(a, b, s + h, t), dyn.interpolant(a, b, s - h, t)
+        for pair, fd in dyn.interpolant_derivative_fd(a, b, s, t, step=h).items():
+            hi, lo = his[pair].matrix, los[pair].matrix
             assert operator_norm(fd.matrix - (hi - lo) / (2.0 * h)) <= 1e-9 * operator_norm(fd)
 
     def test_fd_step_scales_with_spectral_spread(self, rng):
@@ -854,14 +853,14 @@ class TestDecoupledDynamics:
         a = DenseOperator.single_site(-3, random_hermitian(rng, 2))
         b = DenseOperator.single_site(3, random_hermitian(rng, 2))
         t = 0.6
-        j, k = 0, 1
+        pair = (0, 1)
         from scipy.integrate import quad
 
         def deriv_entry(s, r, c, part):
-            m = dyn.interpolant_derivative(a, b, j, k, s, t).matrix[r, c]
+            m = dyn.interpolant_derivative(a, b, s, t)[pair].matrix[r, c]
             return m.real if part == "re" else m.imag
 
-        f0 = dyn.interpolant(a, b, j, k, 0.0, t).matrix
+        f0 = dyn.interpolant(a, b, 0.0, t)[pair].matrix
         # spot-check a handful of entries rather than integrating every one
         idx = [(0, 0), (3, 17), (40, 40), (100, 5)]
         for r, c in idx:
@@ -875,10 +874,10 @@ class TestDecoupledDynamics:
         good_b = DenseOperator.single_site(3, random_hermitian(rng, 2))
         too_close = DenseOperator.single_site(-1, random_hermitian(rng, 2))
         with pytest.raises(SupportError, match="strictly left"):
-            dyn.interpolant(too_close, good_b, 0, 1, 0.1, 0.5)
+            dyn.interpolant(too_close, good_b, 0.1, 0.5)
         wrong_side = DenseOperator.single_site(0, random_hermitian(rng, 2))
         with pytest.raises(SupportError, match="strictly right"):
-            dyn.interpolant(good_a, wrong_side, 0, 1, 0.1, 0.5)
+            dyn.interpolant(good_a, wrong_side, 0.1, 0.5)
 
     def test_derivative_needs_spaced_impurities(self, rng):
         geom, phi = random_chain(rng, half_length=3)
@@ -887,10 +886,10 @@ class TestDecoupledDynamics:
         a = DenseOperator.single_site(-3, random_hermitian(rng, 2))
         b = DenseOperator.single_site(3, random_hermitian(rng, 2))
         # the interpolant itself is still defined...
-        dyn.interpolant(a, b, 0, 1, 0.1, 0.5)
+        dyn.interpolant(a, b, 0.1, 0.5)
         # ...but the analytic derivative needs spacing >= 2
         with pytest.raises(ValueError, match="spacing"):
-            dyn.interpolant_derivative(a, b, 0, 1, 0.1, 0.5)
+            dyn.interpolant_derivative(a, b, 0.1, 0.5)
 
     def test_block_pairs_complete(self, rng):
         geom, phi, imp, dyn = decoupling_instance(rng, 1.0)

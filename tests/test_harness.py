@@ -16,6 +16,7 @@ from lrchain.cli import _cmd_constants, build_parser
 from lrchain.cli import main as cli_main
 from lrchain.dynamics import (
     RECONSTRUCTION_TOL,
+    DecoupledDynamics,
     EvolutionContext,
     projection_commutator_norm,
     split_commutator_norms,
@@ -91,6 +92,42 @@ def spy_projection_kernels(monkeypatch) -> list:
         spy = lambda *args, name=name, route=getattr(dynamics, name): routes.append(name) or route(*args)
         monkeypatch.setattr(dynamics, name, spy)
     return routes
+
+
+def per_block_derivative(dd, a, b, pair, s, t) -> np.ndarray:
+    """The analytic interpolant derivative of block `pair`, with every factor evolved for this block alone."""
+    full = dd.geom.full_support
+    x = dd.reduced.evolve(dd.blocks[pair], s)
+    y = dd.decoupled.evolve(dd.full.evolve(a, t - s), s)
+    b_full = embed_local(b, full, dd.geom)
+    moved = dd.reduced.evolve(commutator(dd.bare, dd.blocks[pair]), s)
+    out = 1j * commutator(commutator(moved, y), b_full).matrix
+    defect = DenseOperator(full, sum(block.matrix for block in dd.blocks.values()))
+    inner = commutator(dd.decoupled.evolve(defect, s), y)
+    out -= 1j * commutator(commutator(x, inner), b_full).matrix
+    return out
+
+
+def per_block_derivative_fd(dd, a, b, pair, s, t, step) -> np.ndarray:
+    """The central difference of block `pair`'s interpolant at `step`, with every factor evolved for this block alone."""
+
+    def cos_weight(w):
+        return np.cos(step * w)
+
+    def sin_weight(w):
+        return 2j * np.sin(step * w)
+
+    x_diff = dd.reduced.evolve(dd.blocks[pair], s, sin_weight).matrix
+    x_mean = dd.reduced.evolve(dd.blocks[pair], s, cos_weight).matrix
+    z_cos = dd.full.evolve(a, t - s, cos_weight)
+    z_sin = dd.full.evolve(a, t - s, sin_weight)
+    y_diff = dd.decoupled.evolve(z_cos, s, sin_weight).matrix
+    y_diff -= dd.decoupled.evolve(z_sin, s, cos_weight).matrix
+    y_mean = dd.decoupled.evolve(z_cos, s, cos_weight).matrix
+    y_mean -= 0.25 * dd.decoupled.evolve(z_sin, s, sin_weight).matrix
+    inner = x_diff @ y_mean - y_mean @ x_diff + x_mean @ y_diff - y_diff @ x_mean
+    b_full = embed_local(b, dd.geom.full_support, dd.geom).matrix
+    return (inner @ b_full - b_full @ inner) / (2.0 * step)
 
 
 class TestObservableSpec:
@@ -527,6 +564,36 @@ class TestRunIdentities:
         # so (1024 - 4) / 2 + 4 - 1 (the identity) = 513 are evaluated
         assert report.checks[-1].detail.endswith("on keep = [-3, -2]; 513 unitaries")
 
+    def test_block_independent_evolutions_are_shared(self, monkeypatch):
+        # on the identities-L3 inputs at seed 5, the hybrid-evolved A, the
+        # evolved defect and the parts of Y(s +- h) are evolved once per
+        # (A, s, t) and step, not once per transition block: at most 44
+        # evolve calls (61 with every factor per block), the same 541
+        # eigvalsh members, and derivative residuals equal bit for bit to
+        # a per-block recomputation that shares nothing
+        cfg = make_config(np.random.default_rng(5))
+        calls, members = [], []
+        evolve, eigvalsh = EvolutionContext.evolve, np.linalg.eigvalsh
+        monkeypatch.setattr(EvolutionContext, "evolve", lambda *args, **kw: calls.append(1) or evolve(*args, **kw))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: members.append(np.prod(m.shape[:-2])) or eigvalsh(m))
+        by_name = {c.name: c for c in run_identities(cfg).checks}
+        assert len(calls) <= 44 and sum(members) == 541, (len(calls), sum(members))
+        monkeypatch.undo()
+
+        dd = DecoupledDynamics(cfg.phi, cfg.imp, pick_decoupling_site(cfg), cfg.geom)
+        a, b = cfg.observable_a.operator(), cfg.observable_b.operator()
+        t = max(cfg.t_grid)
+        s, step = 0.4 * t, dd.fd_step()
+        fd_worst = richardson_worst = 0.0
+        for pair in dd.blocks:
+            analytic = per_block_derivative(dd, a, b, pair, s, t)
+            fd1, fd2 = (per_block_derivative_fd(dd, a, b, pair, s, t, h) for h in (step, 0.5 * step))
+            denom = max(operator_norm(analytic), 1e-300)
+            fd_worst = max(fd_worst, operator_norm(analytic - fd1) / denom)
+            richardson_worst = max(richardson_worst, operator_norm(analytic - (4.0 * fd2 - fd1) / 3.0) / denom)
+        assert by_name["interpolant_derivative_fd"].residual == fd_worst
+        assert by_name["interpolant_derivative_richardson"].residual == richardson_worst
+
     def test_zero_interaction_residuals_vanish(self, rng):
         cfg = make_config(rng, zero_bonds=True, t_grid=(0.5,))
         report = run_identities(cfg)
@@ -677,13 +744,13 @@ class TestRunIdentities:
             h = build_perturbed_hamiltonian(NNInteraction(geom, bonds=bonds), ImpuritySpec(), geom)
             ctx = EvolutionContext(h, geom)
             unitaries = epsilon_unitaries(a.support, geom)
-            got = projection_commutator_norm(ctx, a, 0.5, unitaries)
+            got = projection_commutator_norm(ctx, a, 0.5, a.support, unitaries)
             if split:
-                assert got == np.max(split_commutator_norms(ctx, a, 0.5, unitaries, two_sides(a.matrix))), a.matrix
+                assert got == np.max(split_commutator_norms(ctx, a, 0.5, a.support, unitaries, two_sides(a.matrix))), a.matrix
             else:
                 assert got == np.max(commutator_norms(ctx.evolve(a, 0.5).matrix, unitaries)), a.matrix
             assert got > 1e-3
-            assert projection_commutator_norm(ctx, a, 0.5, []) == 0.0
+            assert projection_commutator_norm(ctx, a, 0.5, a.support, []) == 0.0
 
     def test_identity_check_status_rule(self):
         assert IdentityCheck.measured("x", 1e-12, 1e-9).status == "pass"
