@@ -15,15 +15,17 @@ with their key paths, gives the largest relative move of the numbers
 inside the string leaves that differ only in those numbers, such as a
 check's detail text, and lists every differing leaf.  Then it
 runs each of HEAD_TREE's demos/*.py in both trees and warns for each demo
-whose stdout differs.  A differing report or demo output does not fail the
-run, since a change may move documented digits; a child or demo that exits
-nonzero does.
+whose stdout differs.  Last it prints the line counts, as `wc -l` gives
+them, of src/lrchain/*.py and of tests/*.py in both trees.  A differing
+report or demo output does not fail the run, since a change may move
+documented digits; a child or demo that exits nonzero does.
 
     python3 .github/scripts/compare_csvs.py BASE_TREE HEAD_TREE
 """
 
 import csv
 import filecmp
+import glob
 import itertools
 import json
 import math
@@ -164,6 +166,15 @@ def json_differences(base, head) -> list:
     return [summary] + [f"{path}: {b} -> {h}" for path, b, h in shown]
 
 
+def line_count(tree: str, pattern: str) -> int:
+    """The total newline count of the files under `tree` that match `pattern`, the last line of `wc -l` on them."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, pattern)):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def main(argv) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -218,6 +229,9 @@ def main(argv) -> int:
             print(f"demos/{demo}: stdout identical to the base tree's")
         else:
             print(f"::warning::demos/{demo}: stdout differs from the base tree's")
+    for pattern in ("src/lrchain/*.py", "tests/*.py"):
+        counts = [line_count(tree, pattern) for tree in (base, head)]
+        print(f"{pattern}: {counts[0]} lines in the base tree, {counts[1]} in the head tree ({counts[1] - counts[0]:+d})")
     return 0
 
 

@@ -30,8 +30,8 @@ from .model import (
     perturbation_operator,
 )
 from .operators import (
-    HERMITICITY_TOL, DenseOperator, commutator, commutator_norms, embed_local, gram_chunk, hermitian_spectral,
-    operator_norm, site_view, split_index, weyl_factor_dims,
+    HERMITICITY_TOL, DenseOperator, commutator, commutator_norms, embed_local, epsilon_unitaries, gram_chunk,
+    hermitian_spectral, operator_norm, site_view, split_index, weyl_factor_dims, weyl_shifts,
 )
 
 RECONSTRUCTION_TOL = 1e-10
@@ -285,8 +285,8 @@ class EvolutionContext:
         return DenseOperator(full.support, out)
 
 
-def projection_commutator_norm(ctx: EvolutionContext, a: DenseOperator, t: float, keep: SiteSupport, unitaries: list) -> float:
-    """max || [tau_t(A), U] || over the entries `unitaries` of `epsilon_unitaries` on `keep`; 0 when there are none.
+def projection_commutator_norm(ctx: EvolutionContext, a: DenseOperator, t: float, keep: SiteSupport) -> float:
+    """max || [tau_t(A), U] || over the labels of `epsilon_unitaries` on `keep`; 0 when there are none.
 
     The one route choice of the projection check: a local A that
     `two_sides` accepts takes `split_commutator_norms`, on matrices of
@@ -295,34 +295,31 @@ def projection_commutator_norm(ctx: EvolutionContext, a: DenseOperator, t: float
     """
     sides = two_sides(a.matrix)
     if sides is None:
-        norms = commutator_norms(ctx.evolve(a, t).matrix, unitaries)
+        norms = commutator_norms(ctx.evolve(a, t).matrix, keep, ctx.geom)
     else:
-        norms = split_commutator_norms(ctx, a, t, keep, unitaries, sides)
+        norms = split_commutator_norms(ctx, a, t, keep, sides)
     return float(np.max(norms, initial=0.0))
 
 
-def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, keep: SiteSupport, unitaries: list, sides) -> np.ndarray:
-    """|| [tau_t(A), U] || for each entry of `epsilon_unitaries` on `keep`, for a local A whose `two_sides` are `sides`.
+def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, keep: SiteSupport, sides) -> np.ndarray:
+    """|| [tau_t(A), U] || for each label of `epsilon_unitaries` on `keep`, in that order, for a local A whose `two_sides` are `sides`.
 
     By `two_sides` for the unitary Y = exp(-itH) U exp(itH), the norm is
     (a_2 - a_1) || Q_s^dag U Q_l || with Q_k = exp(itH) S_k, a matrix of
-    size k_s x k_l instead of n x n.  U = W_l (x) I_keep (x) W_r with
-    W = X^p Z^q maps the state with digits (a, c, b), left of keep, on it
-    and right of it, to w_l^(q_l a) w_r^(q_r b) times the state
-    (a + p_l, c, b + p_r), digits taken mod d_l and d_r and w = exp(2 pi i / d)
-    of each factor.  So for one shift pair (p_l, p_r) the clock exponents
-    enter only as a 2D DFT,
+    size k_s x k_l instead of n x n.  U = W_l (x) I_keep (x) W_r maps the
+    state with digits (a, c, b) to w_l^(q_l a) w_r^(q_r b) times the state
+    (a + p_l, c, b + p_r) (`weyl_shifts`).  So for one shift pair
+    (p_l, p_r) the clock exponents enter only as a 2D DFT,
 
         Q_s^dag U Q_l = sum_(a, b) w_l^(q_l a) w_r^(q_r b) C[a, b],
 
     C[a, b] the adjoint of the rows of Q_s at digits (a + p_l, ., b + p_r)
     times the rows of Q_l at (a, ., b): per shift, d_l d_r products of size
-    k_s x d_k x k_l, then one GEMM of the listed members' DFT rows with C as
-    a (d_l d_r) x (k_s k_l) matrix per chunk of members, a chunk's stack of
-    Y fitting in `_GRAM_CHUNK_BYTES`.  The factor dimensions come from
-    `keep`, since the listed labels omit the negated shifts.  The DFT is a
-    GEMM and not `np.fft`: only the listed exponents are needed, and a
-    transform along the strided clock axes costs more than the GEMM saves.
+    k_s x d_k x k_l, then one GEMM of the shift's clock rows with C as a
+    (d_l d_r) x (k_s k_l) matrix per chunk of labels, a chunk's stack of Y
+    fitting in `_GRAM_CHUNK_BYTES`.  The DFT is a GEMM and not `np.fft`:
+    only the listed exponents are needed, and a transform along the strided
+    clock axes costs more than the GEMM saves.
     """
     n = ctx.geom.total_dim
     dl, dk, dr = weyl_factor_dims(keep, ctx.geom)
@@ -337,17 +334,12 @@ def split_commutator_norms(ctx: EvolutionContext, a: DenseOperator, t: float, ke
     del propagator
     shape = q_short.shape[-1], q_long.shape[-1]
     chunk = gram_chunk(shape[0] * shape[1])
-    shifts = {}
-    for i, (label, _, _) in enumerate(unitaries):
-        shifts.setdefault(label[::2], []).append(i)
-    norms = np.empty(len(unitaries))
-    for (pl, pr), members in shifts.items():
+    norms = np.empty(len(epsilon_unitaries(keep, ctx.geom)))
+    for (pl, pr), positions, clocks in weyl_shifts(keep, ctx.geom):
         c = (np.roll(q_short, (-pl, -pr), axis=(0, 1)).conj().swapaxes(-1, -2) @ q_long).reshape(dl * dr, -1)
-        # each member's DFT row, w_l^(q_l a) w_r^(q_r b), is its phase at the state (a + p_l, 0, b + p_r)
-        dft = np.roll([unitaries[i][2].reshape(dl, dk, dr)[:, 0] for i in members], (-pl, -pr), axis=(1, 2))
-        for start in range(0, len(members), chunk):
-            y = dft[start : start + chunk].reshape(-1, dl * dr) @ c
-            norms[members[start : start + chunk]] = operator_norm(y.reshape(-1, *shape))
+        for start in range(0, len(positions), chunk):
+            y = clocks[start : start + chunk].reshape(-1, dl * dr) @ c
+            norms[positions[start : start + chunk]] = operator_norm(y.reshape(-1, *shape))
     return (sides[0][1] - sides[0][0]) * norms
 
 

@@ -636,24 +636,23 @@ def run_identities(cfg: ExperimentConfig) -> IdentitiesReport:
         return derivative_residuals()[2], "step-halved extrapolation cancels the quadratic truncation term"
 
     def check_projection():
-        """||(id - E_keep)(tau_t(A))|| against its bound, the largest ||[tau_t(A), U]|| over `epsilon_unitaries`.
+        """||(id - E_keep)(tau_t(A))|| against its bound, the largest ||[tau_t(A), U]|| over the Weyl unitaries U outside keep.
 
-        keep is A's support widened by one site on each side.  The bound
-        comes from `lrchain.dynamics.projection_commutator_norm`, which
-        picks its route from A alone.
+        keep is A's support widened by one site on each side, within the
+        chain.  The bound is `lrchain.dynamics.projection_commutator_norm`,
+        which picks its route from A alone; the detail counts the U.
         """
         evolved = dd.full.evolve(a, t)
         keep = SiteSupport(
             max(a.support.lo - 1, -geom.half_length),
             min(a.support.hi + 1, geom.half_length),
         )
-        unitaries = epsilon_unitaries(keep, geom)
         projected = conditional_expectation(evolved, keep, geom)
         lhs = operator_norm((evolved - projected).matrix)
-        rhs = projection_commutator_norm(dd.full, a, t, keep, unitaries)
+        rhs = projection_commutator_norm(dd.full, a, t, keep)
         return max(lhs - rhs, 0.0), (
             f"||(id - E)(evolved A)|| = {fmt_float(lhs)} vs eps * norm = "
-            f"{fmt_float(rhs)} on keep = {keep}; {len(unitaries)} unitaries"
+            f"{fmt_float(rhs)} on keep = {keep}; {len(epsilon_unitaries(keep, geom))} unitaries"
         )
 
     guarded("decoupled_blocking", IDENTITY_TOL, check_blocking)

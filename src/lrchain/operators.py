@@ -8,6 +8,7 @@ two operators agree entrywise iff they agree as chain operators.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,19 +227,6 @@ def conditional_expectation(a: DenseOperator, keep: SiteSupport, geom: ChainGeom
     return embed_local(DenseOperator(keep, reduced), geom.full_support, geom)
 
 
-def _weyl_monomials(dim: int):
-    """Yield (p, q, perm, phases) for each shift-and-clock matrix X^p Z^q.
-
-    X^p Z^q is monomial: row r holds its one nonzero entry, phases[r], in
-    column perm[r].  The order is p outer, q inner.
-    """
-    rows = np.arange(dim)
-    for p in range(dim):
-        perm = (rows - p) % dim
-        for q in range(dim):
-            yield p, q, perm, np.exp(2j * np.pi * ((q * perm) % dim) / dim)
-
-
 def weyl_factor_dims(keep: SiteSupport, geom: ChainGeometry) -> tuple:
     """(d_l, d_k, d_r): the dimensions of the sites left of `keep`, of `keep` and of the sites right of it."""
     geom.check_support(keep)
@@ -247,28 +235,42 @@ def weyl_factor_dims(keep: SiteSupport, geom: ChainGeometry) -> tuple:
 
 
 def epsilon_unitaries(keep: SiteSupport, geom: ChainGeometry) -> list:
-    """The unitaries U = W_l (x) I_keep (x) W_r that `local_commutator_epsilon` evaluates.
+    """The labels (p_l, q_l, p_r, q_r) of the unitaries U = W_l (x) I_keep (x) W_r that `local_commutator_epsilon` evaluates.
 
-    W_l and W_r are shift-and-clock matrices on the complement of `keep`
-    left and right of it.  Each entry is ((p_l, q_l, p_r, q_r), perm,
-    phases): row r of U holds phases[r] in column perm[r].  The identity is
-    left out, and of each pair (p_l, q_l, p_r, q_r) and its negation modulo
-    the factor dimensions only the first in tuple order is listed.
+    W = X^p Z^q acts on the sites left of `keep` for W_l and right of it for
+    W_r, of the dimensions d_l and d_r of `weyl_factor_dims`: the shift X
+    maps the digit x to x + 1 and the clock Z multiplies it by w^x, with
+    w = exp(2 pi i / d) and digits mod d.  Labels come in tuple order.  The
+    identity is left out, and so is every label that comes after its
+    negation (-p_l, -q_l, -p_r, -q_r) mod the factor dimensions.
     """
-    dl, dk, dr = weyl_factor_dims(keep, geom)
-    right = list(_weyl_monomials(dr))
-    out = []
-    for pl, ql, perm_l, ph_l in _weyl_monomials(dl):
-        # W_l (x) I_keep, with the row index of the right factor still to append
-        perm_lk = (np.add.outer(perm_l * dk, np.arange(dk)) * dr).ravel()
-        ph_lk = np.repeat(ph_l, dk)
-        for pr, qr, perm_r, ph_r in right:
-            label = (pl, ql, pr, qr)
-            negated = (-pl % dl, -ql % dl, -pr % dr, -qr % dr)
-            if label == (0, 0, 0, 0) or negated < label:
-                continue
-            out.append((label, np.add.outer(perm_lk, perm_r).ravel(), np.multiply.outer(ph_lk, ph_r).ravel()))
-    return out
+    dl, _, dr = weyl_factor_dims(keep, geom)
+    dims = (dl, dl, dr, dr)
+    labels = itertools.product(*map(range, dims))
+    return [x for x in labels if x != (0, 0, 0, 0) and x <= tuple(-v % d for v, d in zip(x, dims))]
+
+
+def clock_phases(q, dim: int) -> np.ndarray:
+    """w^(q x mod dim) at each digit x < dim, w = exp(2 pi i / dim): the diagonal of Z^q, one row per entry of the integer array `q`."""
+    return np.exp(2j * np.pi * ((np.asarray(q)[..., None] * np.arange(dim)) % dim) / dim)
+
+
+def weyl_shifts(keep: SiteSupport, geom: ChainGeometry):
+    """Yield the labels of `epsilon_unitaries` on `keep` by shift: (p_l, p_r), their positions in that list, and their clock rows.
+
+    The clock row of (q_l, q_r) is the (d_l, d_r) array w_l^(q_l a) w_r^(q_r b)
+    over the left digits a and the right digits b, the product of the two
+    `clock_phases` rows: U maps the state with digits (a, c, b), left of
+    keep, on it and right of it, to that phase times the state
+    (a + p_l, c, b + p_r).
+    """
+    dl, _, dr = weyl_factor_dims(keep, geom)
+    shifts = {}
+    for i, (pl, ql, pr, qr) in enumerate(epsilon_unitaries(keep, geom)):
+        shifts.setdefault((pl, pr), []).append((i, ql, qr))
+    for shift, members in shifts.items():
+        positions, ql, qr = np.array(members).T
+        yield shift, positions, clock_phases(ql, dl)[:, :, None] * clock_phases(qr, dr)[:, None, :]
 
 
 # bytes of the largest stack that one chunk of `commutator_norms` or
@@ -283,21 +285,24 @@ def gram_chunk(member_size: int) -> int:
     return max(1, _GRAM_CHUNK_BYTES // (16 * member_size))  # 16 bytes per complex128 entry
 
 
-def commutator_norms(m: np.ndarray, unitaries: list) -> np.ndarray:
-    """||[m, U]|| = ||m - U m U^dag|| for each entry of `epsilon_unitaries`.
+def commutator_norms(m: np.ndarray, keep: SiteSupport, geom: ChainGeometry) -> np.ndarray:
+    """||[m, U]|| = ||m - U m U^dag|| for each label of `epsilon_unitaries` on `keep`, in that order.
 
-    U m U^dag is a gather of m on rows and columns times the outer product
-    of the phases, built for a chunk of unitaries at once, with one stacked
-    `operator_norm` per chunk.
+    Per shift of `weyl_shifts`, m is gathered once at the source digits
+    (a - p_l, b - p_r) of rows and columns; U m U^dag is that gather times
+    the outer product of the clock rows at those digits, built for a chunk
+    of the shift's labels at once, with one stacked `operator_norm` per chunk.
     """
+    dl, dk, dr = weyl_factor_dims(keep, geom)
     chunk = gram_chunk(m.size)
-    norms = np.empty(len(unitaries))
-    for start in range(0, len(unitaries), chunk):
-        batch = unitaries[start : start + chunk]
-        perms, phases = (np.array([entry[i] for entry in batch]) for i in (1, 2))
-        c = m[perms[:, :, None], perms[:, None, :]]
-        c *= phases[:, :, None] * phases.conj()[:, None, :]
-        norms[start : start + len(batch)] = operator_norm(np.subtract(m, c, out=c))
+    norms = np.empty(len(epsilon_unitaries(keep, geom)))
+    for (pl, pr), positions, clocks in weyl_shifts(keep, geom):
+        gathered = np.roll(m.reshape(dl, dk, dr, dl, dk, dr), (pl, pr, pl, pr), axis=(0, 2, 3, 5))
+        phases = np.roll(clocks, (pl, pr), axis=(1, 2))
+        for start in range(0, len(positions), chunk):
+            p = phases[start : start + chunk]
+            c = (gathered * (p[:, :, None, :, None, None, None] * p.conj()[:, None, None, None, :, None, :])).reshape(-1, *m.shape)
+            norms[positions[start : start + chunk]] = operator_norm(np.subtract(m, c, out=c))
     return norms
 
 
@@ -325,4 +330,4 @@ def local_commutator_epsilon(a: DenseOperator, keep: SiteSupport, geom: ChainGeo
     if norm_a == 0.0:
         return 0.0
     # ||B|| = 1: a tensor product of unitaries is unitary
-    return float(np.max(commutator_norms(a.matrix, epsilon_unitaries(keep, geom)), initial=0.0)) / norm_a
+    return float(np.max(commutator_norms(a.matrix, keep, geom), initial=0.0)) / norm_a

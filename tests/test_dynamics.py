@@ -643,13 +643,12 @@ class TestSplitCommutatorNorms:
             assert all(len(idx) == 1 for idx in ctx.spectral_blocks)
             # A outside keep, so U acts on A's site and the commutators do not vanish
             a, keep = DenseOperator.single_site(-3, PAULI["sz"]), SiteSupport(-2, -1)
-        unitaries = epsilon_unitaries(keep, ctx.geom)
         evolved = ctx.evolve(a, t).matrix
-        split = split_commutator_norms(ctx, a, t, keep, unitaries, two_sides(a.matrix))
-        gram = commutator_norms(evolved, unitaries)
+        split = split_commutator_norms(ctx, a, t, keep, two_sides(a.matrix))
+        gram = commutator_norms(evolved, keep, ctx.geom)
         top = float(gram.max())
         assert top > 1e-3
-        assert split.shape == (len(unitaries),)
+        assert split.shape == (len(epsilon_unitaries(keep, ctx.geom)),)
         assert np.max(np.abs(split - gram)) <= 1e-12 * top
         assert abs(split.max() - top) <= 1e-12 * top
 
@@ -659,16 +658,15 @@ class TestSplitCommutatorNorms:
         # norms do not depend on the chunking
         ctx = identities_l3_context(5)
         a, keep = DenseOperator.single_site(-3, PAULI["sz"]), SiteSupport(-3, -1)
-        unitaries = epsilon_unitaries(keep, ctx.geom)
         sides = two_sides(a.matrix)
-        want = split_commutator_norms(ctx, a, 0.5, keep, unitaries, sides)
+        want = split_commutator_norms(ctx, a, 0.5, keep, sides)
         monkeypatch.setattr(operators, "_GRAM_CHUNK_BYTES", 3 * 16 * 64 * 64)
         stacks = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(m.shape) or eigvalsh(m))
-        got = split_commutator_norms(ctx, a, 0.5, keep, unitaries, sides)
+        got = split_commutator_norms(ctx, a, 0.5, keep, sides)
         assert {shape[0] for shape in stacks} == {1, 2, 3}
-        assert sum(shape[0] for shape in stacks) == len(unitaries)
+        assert sum(shape[0] for shape in stacks) == len(epsilon_unitaries(keep, ctx.geom))
         assert all(shape[1:] == (64, 64) for shape in stacks)
         assert np.allclose(got, want, rtol=0, atol=1e-13)
 
@@ -679,9 +677,8 @@ class TestSplitCommutatorNorms:
         geom, phi = random_chain(rng, local_dim=3)
         ctx = EvolutionContext(build_perturbed_hamiltonian(phi, ImpuritySpec(), geom), geom)
         a = DenseOperator.single_site(0, np.diag([1.0, 0.0, -1.0]))
-        unitaries = epsilon_unitaries(SiteSupport(-1, 1), ctx.geom)
-        got = projection_commutator_norm(ctx, a, 0.5, SiteSupport(-1, 1), unitaries)
-        assert got == np.max(commutator_norms(ctx.evolve(a, 0.5).matrix, unitaries))
+        got = projection_commutator_norm(ctx, a, 0.5, SiteSupport(-1, 1))
+        assert got == np.max(commutator_norms(ctx.evolve(a, 0.5).matrix, SiteSupport(-1, 1), ctx.geom))
         assert got > 1e-3
 
     @pytest.mark.parametrize("case", ["sx", "sy", "n.sigma", "qutrit swap"])
@@ -709,11 +706,10 @@ class TestSplitCommutatorNorms:
             spy = lambda *args, name=name, route=getattr(dynamics, name): routes.append(name) or route(*args)
             monkeypatch.setattr(dynamics, name, spy)
 
-        unitaries = epsilon_unitaries(keep, geom)
-        got = projection_commutator_norm(ctx, a, 0.5, keep, unitaries)
+        got = projection_commutator_norm(ctx, a, 0.5, keep)
         assert routes == ["split_commutator_norms"]
-        split = split_commutator_norms(ctx, a, 0.5, keep, unitaries, two_sides(a.matrix))
-        gram = commutator_norms(ctx.evolve(a, 0.5).matrix, unitaries)
+        split = split_commutator_norms(ctx, a, 0.5, keep, two_sides(a.matrix))
+        gram = commutator_norms(ctx.evolve(a, 0.5).matrix, keep, geom)
         top = float(gram.max())
         assert top > 1e-3 and got == split.max()
         assert np.max(np.abs(split - gram)) <= 1e-12 * top

@@ -728,10 +728,11 @@ class TestRunIdentities:
         assert check.detail.endswith("513 unitaries")
         assert routes == ["commutator_norms"]
 
-    def test_projection_bound_routes(self, rng):
+    def test_projection_bound_routes(self, rng, monkeypatch):
         # an A with two eigenvalues, diagonal or not, takes the split
         # kernel, bit for bit; every other A takes the Gram kernel on the
         # evolved matrix, bit for bit
+        routes = spy_projection_kernels(monkeypatch)
         cases = (
             (2, DenseOperator.single_site(-2, PAULI["sz"]), True),
             (2, DenseOperator.single_site(-2, PAULI["sx"]), True),
@@ -743,14 +744,17 @@ class TestRunIdentities:
             bonds = {x: random_hermitian(rng, local_dim**2, norm=1.0) for x in range(-geom.half_length, geom.half_length)}
             h = build_perturbed_hamiltonian(NNInteraction(geom, bonds=bonds), ImpuritySpec(), geom)
             ctx = EvolutionContext(h, geom)
-            unitaries = epsilon_unitaries(a.support, geom)
-            got = projection_commutator_norm(ctx, a, 0.5, a.support, unitaries)
+            got = projection_commutator_norm(ctx, a, 0.5, a.support)
             if split:
-                assert got == np.max(split_commutator_norms(ctx, a, 0.5, a.support, unitaries, two_sides(a.matrix))), a.matrix
+                assert got == np.max(split_commutator_norms(ctx, a, 0.5, a.support, two_sides(a.matrix))), a.matrix
             else:
-                assert got == np.max(commutator_norms(ctx.evolve(a, 0.5).matrix, unitaries)), a.matrix
+                assert got == np.max(commutator_norms(ctx.evolve(a, 0.5).matrix, a.support, geom)), a.matrix
             assert got > 1e-3
-            assert projection_commutator_norm(ctx, a, 0.5, a.support, []) == 0.0
+            # keep = the whole chain leaves no Weyl unitary outside it, on either route
+            assert epsilon_unitaries(geom.full_support, geom) == []
+            routes.clear()
+            assert projection_commutator_norm(ctx, a, 0.5, geom.full_support) == 0.0
+            assert routes == ["split_commutator_norms" if split else "commutator_norms"], a.matrix
 
     def test_identity_check_status_rule(self):
         assert IdentityCheck.measured("x", 1e-12, 1e-9).status == "pass"

@@ -7,7 +7,7 @@ from lrchain.operators import (
     PAULI,
     DenseOperator,
     HermiticityError,
-    _weyl_monomials,
+    clock_phases,
     commutator,
     commutator_norms,
     conditional_expectation,
@@ -453,17 +453,20 @@ class TestWeylBasis:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 32])
     def test_dense_matches_monomial_form(self, dim):
+        # X^p Z^q by matrix powers is monomial: row r holds its one nonzero
+        # entry in column (r - p) mod dim, the `clock_phases` entry of q
+        # there; `weyl_basis`, built from the labels, lists the same
+        # matrices, p outer and q inner
         basis = weyl_basis(dim)
         oracle = weyl_oracle(dim)
+        assert len(basis) == len(oracle) == dim * dim
         rows = np.arange(dim)
-        labels = []
-        for k, (p, q, perm, phases) in enumerate(_weyl_monomials(dim)):
-            labels.append((p, q))
-            w = basis[k]
-            assert np.count_nonzero(w) == dim
-            assert np.array_equal(w[rows, perm], phases)
-            assert np.max(np.abs(w - oracle[k])) <= 1e-12
-        assert labels == [(p, q) for p in range(dim) for q in range(dim)]
+        for k, w in enumerate(oracle):
+            p, q = divmod(k, dim)
+            cols = (rows - p) % dim
+            assert np.count_nonzero(w) == dim and np.count_nonzero(basis[k]) == dim
+            assert np.max(np.abs(w[rows, cols] - clock_phases(q, dim)[cols])) <= 1e-12
+            assert np.max(np.abs(basis[k] - w)) <= 1e-12
 
 
 # (geometry, keep): complement on the right only, on the left only, on both
@@ -540,8 +543,7 @@ class TestLocalCommutatorEpsilon:
         n = geom.total_dim
         m = random_complex(rng, n)
         ref = weyl_commutator_norms_oracle(m, *dims)
-        unitaries = epsilon_unitaries(keep, geom)
-        labels = [label for label, _, _ in unitaries]
+        labels = epsilon_unitaries(keep, geom)
         assert len(set(labels)) == len(labels)
         negated = {(pl, ql, pr, qr): (-pl % dl, -ql % dl, -pr % dr, -qr % dr) for pl, ql, pr, qr in labels}
         assert all(neg == label or neg not in negated for label, neg in negated.items())
@@ -552,7 +554,7 @@ class TestLocalCommutatorEpsilon:
         for per_stack in (None, 1, 2, 4, 8):
             if per_stack is not None:
                 monkeypatch.setattr(operators, "_GRAM_CHUNK_BYTES", per_stack * 16 * n * n)
-            norms = commutator_norms(m, unitaries)
+            norms = commutator_norms(m, keep, geom)
             assert np.max(np.abs(norms - expected) / expected) <= 1e-12, per_stack
 
     @pytest.mark.parametrize("dim", [3, 4, 5])

@@ -19,7 +19,7 @@ import pytest
 from lrchain.disorder import _field_strengths, heisenberg_bond
 from lrchain.geometry import ChainGeometry, SiteSupport, SupportError
 from lrchain.model import ImpuritySpec, NNInteraction
-from lrchain.operators import PAULI, DenseOperator, _weyl_monomials, embed_local, local_commutator_epsilon
+from lrchain.operators import PAULI, DenseOperator, clock_phases, embed_local, local_commutator_epsilon
 
 
 def random_hermitian(rng, dim: int, norm: float | None = None) -> np.ndarray:
@@ -108,13 +108,20 @@ def weyl_oracle(dim: int) -> list:
 
 
 def weyl_basis(dim: int) -> list[np.ndarray]:
-    """The dim^2 unitary shift-and-clock matrices X^p Z^q spanning M_dim, p outer and q inner."""
+    """The dim^2 unitary shift-and-clock matrices X^p Z^q spanning M_dim, p outer and q inner.
+
+    Built from labels as the library reads them: row r of X^p Z^q holds
+    its one nonzero entry in column (r - p) mod dim, and that entry is the
+    `clock_phases` row of q at that column.
+    """
     rows = np.arange(dim)
     out = []
-    for _, _, perm, phases in _weyl_monomials(dim):
-        w = np.zeros((dim, dim), dtype=complex)
-        w[rows, perm] = phases
-        out.append(w)
+    for p in range(dim):
+        cols = (rows - p) % dim
+        for q in range(dim):
+            w = np.zeros((dim, dim), dtype=complex)
+            w[rows, cols] = clock_phases(q, dim)[cols]
+            out.append(w)
     return out
 
 
