@@ -82,7 +82,11 @@ def compute_K_mu(mu: float, radius: int) -> float:
     if radius < 1:
         raise ValueError(f"radius must be positive, got {radius}")
     seps = np.arange(0, radius + 1)
-    profile = _k_mu_profile(mu, seps, 3 * radius)
+    # the whole (radius + 1) x (6 radius + 1) grid grows like 1/mu^2 (300 MB at
+    # mu = 0.05), so it is summed in blocks of rows of at most 2^17 doubles each;
+    # each row sums on its own, and the default radius 128 is one block
+    rows = max(1, (1 << 17) // (6 * radius + 1))
+    profile = np.concatenate([_k_mu_profile(mu, seps[i : i + rows], 3 * radius) for i in range(0, radius + 1, rows)])
     best = int(np.argmax(profile))
     if best == radius:
         raise ConvergenceError(
@@ -315,37 +319,43 @@ def single_impurity_bound(
     support_a: SiteSupport,
     support_b: SiteSupport,
     imp: ImpuritySpec,
-    site: int,
     t: float,
     scale: float = 1.0,
 ) -> BoundOutcome:
-    """Sharper one-impurity bound using the distance from the impurity to each observable.
+    """Sharper one-impurity bound, smallest over the impurities in the buffer window.
 
-    The spatial factor is mu * min(d(site - 3, S_B), d(site + 3, S_A)) rather
-    than mu * d(S_A, S_B); the impurity must sit in the buffer window.
+    At `site` the spatial factor is mu * min(d(site - 3, S_B), d(site + 3, S_A))
+    rather than mu * d(S_A, S_B); the best site is the window, the leftmost on a
+    tie.  Not applicable, in this order: no impurities, none in the window, or
+    a hypothesis of `main_bound` fails.
     """
+    if imp.is_empty():
+        return BoundOutcome.not_applicable("model has no impurities")
+    window = impurity_window(support_a, support_b, imp)
+    if not window:
+        return BoundOutcome.not_applicable(
+            f"no impurity site in the window [{support_a.hi + 3}, {support_b.lo - 3}]"
+        )
     failure = _hypothesis_failure(params, support_a, support_b, imp)
     if failure is not None:
         return BoundOutcome.not_applicable(failure)
-    window = impurity_window(support_a, support_b, imp)
-    if site not in window:
-        return BoundOutcome.not_applicable(
-            f"impurity site {site} outside the window [{support_a.hi + 3}, {support_b.lo - 3}]"
-        )
     d = support_a.distance(support_b)
-    reach = min(site_distance(site - 3, support_b), site_distance(site + 3, support_a))
-    product = abs(imp.coupling(site)) * imp.at(site).gap
     c = main_constant(params, local_dim)
-    with np.errstate(over="ignore"):
-        value = float(
-            c / product
-            * growth_profile(1, params.v, t)
-            * params.mu
-            * reach
-            * np.exp(-params.mu * d)
-            * scale
-        )
-    return BoundOutcome(value, True, None, (site,), product)
+    outcomes = []
+    for site in window:
+        reach = min(site_distance(site - 3, support_b), site_distance(site + 3, support_a))
+        product = abs(imp.coupling(site)) * imp.at(site).gap
+        with np.errstate(over="ignore"):
+            value = float(
+                c / product
+                * growth_profile(1, params.v, t)
+                * params.mu
+                * reach
+                * np.exp(-params.mu * d)
+                * scale
+            )
+        outcomes.append(BoundOutcome(value, True, None, (site,), product))
+    return min(outcomes, key=lambda o: o.value)
 
 
 def _check_ordered(support_a: SiteSupport, support_w: SiteSupport, support_b: SiteSupport) -> None:

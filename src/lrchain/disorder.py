@@ -114,7 +114,14 @@ class DisorderConfig:
 
     @property
     def spacing(self) -> int:
-        """Sublattice spacing ceil(max(1/mu, 2)) carrying the random fields."""
+        """Sublattice spacing ceil(max(1/mu, 2)) carrying the random fields.
+
+        This is not the main bound's spacing rule: `bounds.main_bound` needs a
+        spacing strictly above max(1/mu, 2), which this one misses whenever
+        that maximum is an integer, as for every mu >= 1/2 (spacing 2 at
+        mu = 1).  The sweep does not check that rule; which inequality the
+        application needs is for the paper's text to settle.
+        """
         return int(ceil(max(1.0 / self.mu, 2.0)))
 
     def field_sites(self) -> tuple:

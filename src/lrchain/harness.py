@@ -266,32 +266,14 @@ def _apriori(params, local_dim, support_a, support_b, imp, t, scale) -> BoundOut
     return BoundOutcome(apriori_bound(params, t, support_a.distance(support_b), scale), True)
 
 
-def _best_single_impurity(params, local_dim, support_a, support_b, imp, t, scale) -> BoundOutcome:
-    if imp.is_empty():
-        return BoundOutcome.not_applicable("model has no impurities")
-    window = impurity_window(support_a, support_b, imp)
-    if not window:
-        return BoundOutcome.not_applicable(
-            f"no impurity site in the window [{support_a.hi + 3}, {support_b.lo - 3}]"
-        )
-    outcomes = [
-        single_impurity_bound(params, local_dim, support_a, support_b, imp, site, t, scale)
-        for site in window
-    ]
-    applicable = [o for o in outcomes if o.applicable]
-    if not applicable:
-        return outcomes[0]
-    return min(applicable, key=lambda o: o.value)
-
-
 # bound name -> evaluator (params, local_dim, support_a, support_b, imp, t, scale), in CSV column order.
-# The lambdas look main_bound and uniform_impurity_bound up when called, so a timing wrapper set on
-# this module's attributes (perfbench/spans.py) sees those calls too.
+# The lambdas look main_bound, uniform_impurity_bound and single_impurity_bound up when called, so a
+# timing wrapper set on this module's attributes (perfbench/spans.py) sees those calls too.
 BOUNDS = {
     "apriori": _apriori,
     "main": lambda *args: main_bound(*args),
     "corollary": lambda *args: uniform_impurity_bound(*args),
-    "single_impurity": _best_single_impurity,
+    "single_impurity": lambda *args: single_impurity_bound(*args),
 }
 
 

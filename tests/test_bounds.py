@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,6 +9,7 @@ from lrchain.bounds import (
     BoundOutcome,
     ConvergenceError,
     LRParameters,
+    _k_mu_profile,
     apriori_bound,
     compute_K_mu,
     compute_c_mu,
@@ -71,6 +74,26 @@ class TestLatticeSums:
         for mu in MUS:
             k = compute_K_mu(mu, 300)
             assert np.pi**2 / 3 < k < 4.0
+
+    @pytest.mark.parametrize("mu", (0.05, 0.25, 1.0, 8.0))
+    def test_k_mu_scan_is_blockwise_and_small(self, mu):
+        # the scan sums blocks of separations; each row's sum does not depend
+        # on the rows around it, so every field is bit-identical to a
+        # one-separation-at-a-time scan and to the whole grid at once
+        p = LRParameters.compute(mu, 3.0)
+        r = p.series_radius
+        rows = [_k_mu_profile(mu, np.array([n]), 3 * r)[0] for n in range(r + 1)]
+        assert p.K_mu == max(rows)
+        if r <= 256:
+            assert p.K_mu == np.max(_k_mu_profile(mu, np.arange(r + 1), 3 * r))
+        tracemalloc.start()
+        try:
+            LRParameters.compute(mu, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole grid at mu = 0.05 is 1281 x 7681 doubles, 79 MB per array
+        assert peak <= 32e6
 
     def test_k_mu_edge_maximizer_is_an_error(self):
         with pytest.raises(ConvergenceError, match="edge"):
@@ -305,7 +328,7 @@ class TestSingleImpurityBound:
     def test_value_formula_and_dominated_by_main(self):
         p = params_for(1.0)
         imp = window_instance(sites=(1,), coupling=30.0)
-        out = single_impurity_bound(p, 2, SA, SB, imp, 1, 0.5)
+        out = single_impurity_bound(p, 2, SA, SB, imp, 0.5)
         # reach: min(d(site - 3, S_B), d(site + 3, S_A)) = min(d(-2,4), d(4,-4)) = min(6, 8)
         reach = min(site_distance(-2, SB), site_distance(4, SA))
         assert reach == 6
@@ -318,15 +341,58 @@ class TestSingleImpurityBound:
     def test_centered_site_reach(self):
         p = params_for(1.0)
         imp = window_instance(sites=(0,), coupling=30.0)
-        out = single_impurity_bound(p, 2, SA, SB, imp, 0, 0.5)
+        out = single_impurity_bound(p, 2, SA, SB, imp, 0.5)
         assert out.applicable
         assert out.window == (0,)
 
     def test_site_outside_window_not_applicable(self):
         p = params_for(1.0)
         imp = window_instance(sites=(3,), coupling=30.0)  # window is [-1, 1]
-        out = single_impurity_bound(p, 2, SA, SB, imp, 3, 0.5)
-        assert not out.applicable and "outside the window" in out.reason
+        out = single_impurity_bound(p, 2, SA, SB, imp, 0.5)
+        assert out == BoundOutcome.not_applicable("no impurity site in the window [-1, 1]")
+
+    def test_smallest_over_the_window(self):
+        # sites -3 and 3 in the window [-5, 5]: the same reach, different |coupling| * gap
+        p = params_for(1.0)
+        sa, sb = SiteSupport(-8, -8), SiteSupport(8, 8)
+        imp = ImpuritySpec.uniform([-3, 3], np.diag([1.0, -1.0]), {-3: 20.0, 3: -70.0})
+        out = single_impurity_bound(p, 2, sa, sb, imp, 0.5, scale=3.0)
+        reach = min(site_distance(0, sb), site_distance(6, sa))
+        assert reach == min(site_distance(-6, sb), site_distance(0, sa)) == 8
+        c = main_constant(p, 2)
+        per_site = {
+            site: c / product * growth_profile(1, p.v, 0.5) * 1.0 * reach * np.exp(-16.0) * 3.0
+            for site, product in [(-3, 40.0), (3, 140.0)]
+        }
+        assert out.applicable and out.reason is None
+        assert out.window == (3,) and out.prefactor_product == 140.0
+        assert abs(out.value - per_site[3]) <= 1e-10 * per_site[3]
+        assert per_site[3] < per_site[-3]
+
+    def test_tie_picks_the_first_site(self):
+        p = params_for(1.0)
+        sa, sb = SiteSupport(-8, -8), SiteSupport(8, 8)
+        imp = ImpuritySpec.uniform([-3, 3], np.diag([1.0, -1.0]), {-3: 50.0, 3: -50.0})
+        out = single_impurity_bound(p, 2, sa, sb, imp, 0.5)
+        assert out.window == (-3,) and out.prefactor_product == 100.0
+
+    def test_not_applicable_order(self):
+        # no impurities, then an empty window, then a failed hypothesis of the main bound
+        p = params_for(1.0)
+        tight = window_instance(sites=(-2, 0, 2))
+        close_a, close_b = SiteSupport(-2, -2), SiteSupport(2, 2)
+        assert single_impurity_bound(p, 2, close_a, close_b, ImpuritySpec(), 0.5) == (
+            BoundOutcome.not_applicable("model has no impurities")
+        )
+        assert single_impurity_bound(p, 2, close_a, close_b, tight, 0.5) == (
+            BoundOutcome.not_applicable("no impurity site in the window [1, -1]")
+        )
+        assert single_impurity_bound(p, 2, SiteSupport(-3, -3), SiteSupport(3, 3), tight, 0.5) == (
+            BoundOutcome.not_applicable("supports too close: need max S_A + 3 < min S_B - 3, got 0 and 0")
+        )
+        assert single_impurity_bound(p, 2, SA, SB, tight, 0.5) == (
+            BoundOutcome.not_applicable("impurity spacing 2.0 must exceed max(1/mu, 2) = 2.0")
+        )
 
 
 class TestWindowDecaySum:

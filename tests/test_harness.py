@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lrchain
-from lrchain import dynamics
+from lrchain import dynamics, harness
 from lrchain.bounds import BoundOutcome, LRParameters
 from lrchain.cli import _cmd_constants, build_parser
 from lrchain.cli import main as cli_main
@@ -492,7 +492,7 @@ class TestRunVerify:
 
 
 class TestImprovementPoints:
-    def fabricated(self, main_value, apriori_value, window=(0,), applicable=True):
+    def fabricated(self, main_value, apriori_value, window=(0,), applicable=True, t=0.5):
         bounds = {
             "apriori": BoundOutcome(apriori_value, True),
             "main": (
@@ -501,7 +501,7 @@ class TestImprovementPoints:
                 else BoundOutcome.not_applicable("hypothesis fails")
             ),
         }
-        return ExperimentRecord(0.5, 8, len(window), 1e-8, bounds, 1.0)
+        return ExperimentRecord(t, 8, len(window), 1e-8, bounds, 1.0)
 
     def test_detects_strict_improvement(self):
         recs = [self.fabricated(1e-3, 1.0), self.fabricated(2.0, 1.0)]
@@ -536,6 +536,21 @@ class TestImprovementPoints:
         dump = report.diagnostic_dump()
         assert any(line.startswith("VIOLATION:") for line in dump)
         assert any("apriori" in line for line in dump)
+
+    def test_summary_names_the_first_improvement(self, rng):
+        clean = run_verify(make_config(rng, t_grid=(0.5,)))
+        records = (
+            self.fabricated(2.0, 1.0, t=0.125),
+            self.fabricated(1e-3, 1.0, t=0.25),
+            self.fabricated(5e-4, 1.0, t=0.5),
+        )
+        report = dataclasses.replace(clean, bound_set=("apriori", "main"), records=records)
+        assert report.summary_lines() == [
+            "records: 3",
+            "violations: 0",
+            "improvement points (main < apriori): 2",
+            "  first at t = 0.25: main 0.001 < apriori 1",
+        ]
 
 
 class TestRunIdentities:
@@ -891,6 +906,19 @@ class TestCli:
         assert code == 0
         assert captured.out.splitlines()[0].startswith("t,dAB,N,exact_norm")
         assert "violations: 0" in captured.err
+
+    def test_verify_violation_is_exit_one_with_a_dump(self, cli_model, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "apriori_bound", lambda *args: 0.0)
+        code = cli_main(["verify", "--config", str(cli_model / "experiment.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines()[0].startswith("t,dAB,N,exact_norm")
+        err = captured.err.splitlines()
+        assert "violations: 2" in err
+        violations = [line for line in err if line.startswith("VIOLATION: ")]
+        assert [line.split(":")[1] for line in violations] == [" t = 0.25", " t = 0.5"]
+        assert all(line.endswith("exceeds apriori bound 0") for line in violations)
+        assert "    apriori: value = 0, applicable = True, reason = None" in err
 
     def test_verify_out_files(self, cli_model, capsys):
         prefix = cli_model / "results" / "v"
